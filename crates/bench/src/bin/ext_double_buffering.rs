@@ -21,7 +21,7 @@ use paragon_bench::save_record;
 use paragon_core::{PrefetchConfig, PrefetchingFile};
 use paragon_machine::{Machine, MachineConfig};
 use paragon_metrics::{ExperimentRecord, Table};
-use paragon_pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon_pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon_sim::{Sim, SimDuration};
 
 const NODES: usize = 8;
@@ -45,9 +45,7 @@ fn run_variant(variant: Variant, delay_ms: u64) -> f64 {
             .create("/pfs/db", StripeAttrs::across(8, 64 * 1024))
             .await
             .unwrap();
-        pfs.populate_with(file, FILE, |i| pattern_byte(12, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(file, FILE, 12).await.unwrap();
         let t0 = sim2.now();
         let rounds = FILE / (REQUEST as u64 * NODES as u64);
         let mut tasks = Vec::new();

@@ -32,14 +32,9 @@ const SHAPES: [(usize, usize); 10] = [
 
 /// Per-compute-node file bytes: 4 MB keeps the small shapes comparable
 /// to the paper's runs; from 64 CNs up it drops to 1 MB so the larger
-/// points stay inside a laptop's memory and a CI wall-clock budget, and
-/// the 4096-CN full machine drops to 256 KB (4 requests per node) for
-/// the same reason — the sharded worlds each replicate the whole file
-/// system, so file bytes cost shard-count × their size in host memory.
+/// points stay inside a CI wall-clock budget.
 fn per_cn_bytes(cn: usize) -> u64 {
-    if cn >= 4096 {
-        256 << 10
-    } else if cn >= 64 {
+    if cn >= 64 {
         1 << 20
     } else {
         4 << 20

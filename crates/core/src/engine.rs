@@ -402,7 +402,7 @@ impl PrefetchingFile {
 mod tests {
     use super::*;
     use paragon_machine::{Machine, MachineConfig};
-    use paragon_pfs::{pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+    use paragon_pfs::{pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
     use paragon_sim::Sim;
 
     const KB: u64 = 1024;
@@ -427,9 +427,7 @@ mod tests {
                 .create("/pfs/t", StripeAttrs::across(2, 16 * KB))
                 .await
                 .unwrap();
-            p2.populate_with(id, 1024 * KB, |i| pattern_byte(13, i))
-                .await
-                .unwrap();
+            p2.populate_pattern(id, 1024 * KB, 13).await.unwrap();
             let f = p2
                 .open(rank, nprocs, id, mode, OpenOptions::default())
                 .unwrap();
@@ -636,9 +634,7 @@ mod tests {
                 .create("/pfs/t", StripeAttrs::across(2, 16 * KB))
                 .await
                 .unwrap();
-            pfs.populate_with(id, 1024 * KB, |i| pattern_byte(13, i))
-                .await
-                .unwrap();
+            pfs.populate_pattern(id, 1024 * KB, 13).await.unwrap();
             let f = pfs
                 .open(0, 1, id, IoMode::MAsync, OpenOptions::default())
                 .unwrap();
@@ -717,9 +713,7 @@ mod tests {
                 .create("/pfs/t", StripeAttrs::across(2, 16 * KB))
                 .await
                 .unwrap();
-            pfs.populate_with(id, 1024 * KB, |i| pattern_byte(13, i))
-                .await
-                .unwrap();
+            pfs.populate_pattern(id, 1024 * KB, 13).await.unwrap();
             let f = pfs
                 .open(0, 1, id, IoMode::MAsync, OpenOptions::default())
                 .unwrap();

@@ -20,7 +20,7 @@
 //! use std::rc::Rc;
 //! use paragon_sim::Sim;
 //! use paragon_machine::{Machine, MachineConfig};
-//! use paragon_pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+//! use paragon_pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 //! use paragon_core::{PrefetchConfig, PrefetchingFile};
 //!
 //! let sim = Sim::new(1);
@@ -28,7 +28,7 @@
 //! let pfs = ParallelFs::new(machine);
 //! let h = sim.spawn(async move {
 //!     let file = pfs.create("/pfs/doc", StripeAttrs::across(2, 16 * 1024)).await.unwrap();
-//!     pfs.populate_with(file, 1 << 20, |i| pattern_byte(1, i)).await.unwrap();
+//!     pfs.populate_pattern(file, 1 << 20, 1).await.unwrap();
 //!     let f = pfs.open(0, 1, file, IoMode::MAsync, OpenOptions::default()).unwrap();
 //!     let pf = PrefetchingFile::new(f, PrefetchConfig::paper_prototype());
 //!     for _ in 0..8 {

@@ -8,17 +8,20 @@
 //!
 //! Every device carries *real bytes* in a sparse in-memory store, so the
 //! layers above (UFS, PFS, the prefetcher) can be tested for data integrity
-//! as well as timing.
+//! as well as timing. Test-pattern content stays virtual in the store (a
+//! descriptor per page) and is synthesized on read.
 
 // Robustness: an injected fault must surface as an `Err`, never a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod disk;
 mod params;
+mod pattern;
 mod raid;
 mod store;
 
 pub use disk::{Disk, DiskError, DiskOp, DiskStats};
 pub use params::{DiskParams, SchedPolicy};
+pub use pattern::{pattern_byte, pattern_fill, pattern_matches, pattern_slice, PatternLayout};
 pub use raid::{RaidArray, RaidStats, StripeMap, StripePiece};
-pub use store::{BlockStore, STORE_PAGE};
+pub use store::{BlockStore, Content, STORE_PAGE};

@@ -22,7 +22,7 @@ use paragon_sim::{ev, EventKind, ReqId, Sim, Track};
 
 use crate::disk::{Disk, DiskError, DiskStats};
 use crate::params::{DiskParams, SchedPolicy};
-use crate::store::BlockStore;
+use crate::store::{BlockStore, Content};
 
 /// Striping math shared by the array (and tested independently): maps a
 /// logical byte extent onto per-member `(member, offset, len)` pieces.
@@ -345,12 +345,18 @@ impl RaidArray {
 
     /// Write a logical extent; completes when every member run (and, with
     /// parity, every parity read-modify-write) completes.
-    pub async fn write(&self, offset: u64, data: Bytes) -> Result<(), DiskError> {
+    pub async fn write(&self, offset: u64, data: impl Into<Content>) -> Result<(), DiskError> {
         self.write_req(offset, data, 0).await
     }
 
     /// [`RaidArray::write`] under flight-recorder request context `req`.
-    pub async fn write_req(&self, offset: u64, data: Bytes, req: ReqId) -> Result<(), DiskError> {
+    pub async fn write_req(
+        &self,
+        offset: u64,
+        data: impl Into<Content>,
+        req: ReqId,
+    ) -> Result<(), DiskError> {
+        let data = data.into();
         let runs = self.runs(offset, data.len() as u64);
         let Some(parity) = self.parity.clone() else {
             // No parity: plain concurrent member writes (timing only; the
@@ -372,7 +378,7 @@ impl RaidArray {
             return match first_err {
                 Some(e) => Err(e),
                 None => {
-                    self.logical.borrow_mut().write(offset, &data);
+                    self.logical.borrow_mut().write_content(offset, &data);
                     Ok(())
                 }
             };
@@ -387,7 +393,7 @@ impl RaidArray {
             self.write_run_with_parity(&parity, member, start, rlen as u32, req)
                 .await?;
         }
-        self.logical.borrow_mut().write(offset, &data);
+        self.logical.borrow_mut().write_content(offset, &data);
         Ok(())
     }
 
@@ -461,6 +467,16 @@ impl RaidArray {
             total.faulted += s.faulted;
         }
         total
+    }
+
+    /// Materialized pages of the array's store (its payload footprint).
+    pub fn resident_pages(&self) -> usize {
+        self.logical.borrow().resident_pages()
+    }
+
+    /// Pattern pages of the array's store (held as descriptors).
+    pub fn pattern_pages(&self) -> usize {
+        self.logical.borrow().pattern_pages()
     }
 
     /// Array-level counters (reconstruction and parity maintenance).

@@ -4,32 +4,130 @@
 //! can assert byte-for-byte integrity through striping, caching, and
 //! prefetching. Unwritten regions read back as zeros, like a fresh disk.
 //!
-//! Pages are reference-counted (`Arc<[u8]>`) so a read that falls inside a
-//! single page hands back a zero-copy view instead of allocating and
-//! copying a fresh buffer — the dominant cost of the data path once the
-//! scheduler is out of the way. Writes copy-on-write: a page still
-//! referenced by an outstanding read view is cloned before mutation, so
-//! previously returned `Bytes` never change underneath their holders.
+//! A page is one of two kinds:
+//!
+//! * **Resident**: real bytes in a reference-counted page (`Arc<[u8]>`),
+//!   so a read that falls inside a single page hands back a zero-copy view
+//!   instead of allocating and copying a fresh buffer. Writes
+//!   copy-on-write: a page still referenced by an outstanding read view is
+//!   cloned before mutation, so previously returned `Bytes` never change
+//!   underneath their holders.
+//! * **Pattern**: a descriptor of test-pattern content, a
+//!   [`PatternLayout`] plus the slot-file offset of the page's first byte.
+//!   Writing a [`Content::Pattern`] that covers a whole page records only
+//!   the descriptor; a read synthesizes just the requested range with the
+//!   pattern kernel. A partially covered page is materialized, and a byte
+//!   write into a pattern page materializes that page first.
+//!
+//! Every read returns real bytes whichever kind backs it, so the layers
+//! above cannot tell the two apart; only the store's footprint differs.
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+
+use crate::pattern::PatternLayout;
 
 /// Internal page size of the sparse store (independent of any file-system
 /// block size above it). Sized to the machine's 64 KB transfer unit so the
 /// common stripe-unit-aligned read is served by one shared page.
 pub const STORE_PAGE: u64 = 64 * 1024;
 
+/// The payload of a device write: real bytes, or a range of a pattern
+/// file's slot content that the store can keep virtual. Slices like
+/// [`Bytes`], and every `Bytes` converts into one.
+#[derive(Debug, Clone)]
+pub enum Content {
+    /// Real bytes.
+    Bytes(Bytes),
+    /// Slot-file bytes `[at, at + len)` of the pattern file `layout`
+    /// describes.
+    Pattern {
+        /// The slot of the pattern file this range belongs to.
+        layout: PatternLayout,
+        /// Slot-file offset of the first byte.
+        at: u64,
+        /// Length in bytes.
+        len: usize,
+    },
+}
+
+impl Content {
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            Content::Bytes(b) => b.len(),
+            Content::Pattern { len, .. } => *len,
+        }
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// O(1) sub-range. Panics if the range is out of bounds, like
+    /// [`Bytes::slice`].
+    pub fn slice(&self, range: Range<usize>) -> Content {
+        match self {
+            Content::Bytes(b) => Content::Bytes(b.slice(range)),
+            Content::Pattern { layout, at, len } => {
+                assert!(
+                    range.start <= range.end && range.end <= *len,
+                    "slice out of bounds"
+                );
+                Content::Pattern {
+                    layout: *layout,
+                    at: at + range.start as u64,
+                    len: range.len(),
+                }
+            }
+        }
+    }
+}
+
+impl From<Bytes> for Content {
+    fn from(b: Bytes) -> Content {
+        Content::Bytes(b)
+    }
+}
+
+/// One page of the store.
+enum Page {
+    /// Real bytes, shared with outstanding read views.
+    Resident(Arc<[u8]>),
+    /// Pattern bytes: byte `j` is slot-file byte `at + j` of `layout`.
+    Pattern { layout: PatternLayout, at: u64 },
+}
+
 /// A sparse, page-granular byte store addressed by absolute disk offset.
 #[derive(Default)]
 pub struct BlockStore {
-    pages: BTreeMap<u64, Arc<[u8]>>,
+    pages: BTreeMap<u64, Page>,
     /// Shared all-zero page backing single-page reads of holes.
     zero: OnceCell<Arc<[u8]>>,
     /// Total bytes ever written (for capacity accounting in tests).
     bytes_written: u64,
+}
+
+/// The per-page pieces of `[offset, offset + len)`: `(page index, offset
+/// in the page, offset in the range, piece length)`.
+fn pieces(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        if pos >= len {
+            return None;
+        }
+        let abs = offset + pos as u64;
+        let in_page = (abs % STORE_PAGE) as usize;
+        let chunk = ((STORE_PAGE as usize) - in_page).min(len - pos);
+        let piece = (abs / STORE_PAGE, in_page, pos, chunk);
+        pos += chunk;
+        Some(piece)
+    })
 }
 
 impl BlockStore {
@@ -46,61 +144,101 @@ impl BlockStore {
 
     /// Read `len` bytes starting at `offset`. Holes read as zeros.
     ///
-    /// A read contained in one page is zero-copy: it returns a view of the
-    /// resident page (or of a shared zero page for a hole).
+    /// A read contained in one resident page (or a hole) is zero-copy: it
+    /// returns a view of the page (or of a shared zero page). A read of a
+    /// pattern page synthesizes only the requested range.
     pub fn read(&self, offset: u64, len: usize) -> Bytes {
         let in_page = (offset % STORE_PAGE) as usize;
         if in_page + len <= STORE_PAGE as usize {
             let page = match self.pages.get(&(offset / STORE_PAGE)) {
-                Some(page) => page.clone(),
+                Some(Page::Resident(page)) => page.clone(),
+                Some(Page::Pattern { layout, at }) => {
+                    let mut out = BytesMut::zeroed(len);
+                    layout.fill(at + in_page as u64, &mut out);
+                    return out.freeze();
+                }
                 None => self.zero_page(),
             };
             return Bytes::from_shared(page).slice(in_page..in_page + len);
         }
-        let mut out = vec![0u8; len];
-        let mut pos = 0usize;
-        while pos < len {
-            let abs = offset + pos as u64;
-            let page_idx = abs / STORE_PAGE;
-            let in_page = (abs % STORE_PAGE) as usize;
-            let chunk = ((STORE_PAGE as usize) - in_page).min(len - pos);
-            if let Some(page) = self.pages.get(&page_idx) {
-                out[pos..pos + chunk].copy_from_slice(&page[in_page..in_page + chunk]);
+        let mut out = BytesMut::zeroed(len);
+        for (idx, in_page, pos, chunk) in pieces(offset, len) {
+            let dst = &mut out[pos..pos + chunk];
+            match self.pages.get(&idx) {
+                Some(Page::Resident(page)) => {
+                    dst.copy_from_slice(&page[in_page..in_page + chunk]);
+                }
+                Some(Page::Pattern { layout, at }) => layout.fill(at + in_page as u64, dst),
+                None => {}
             }
-            pos += chunk;
         }
-        Bytes::from(out)
+        out.freeze()
+    }
+
+    /// The bytes of page `idx`, private to the store and writable: a hole
+    /// becomes a zeroed page, a pattern page is materialized, and a page
+    /// still shared with a read view is copied first.
+    // paragon-lint: allow(P1) — `&mut [u8]` is a slice type, not an index
+    fn page_mut(&mut self, idx: u64) -> Option<&mut [u8]> {
+        let page = self
+            .pages
+            .entry(idx)
+            .or_insert_with(|| Page::Resident(Arc::from(vec![0u8; STORE_PAGE as usize])));
+        if let Page::Pattern { layout, at } = *page {
+            let mut bytes = vec![0u8; STORE_PAGE as usize];
+            layout.fill(at, &mut bytes);
+            *page = Page::Resident(Arc::from(bytes));
+        }
+        let Page::Resident(slot) = page else {
+            return None;
+        };
+        if Arc::get_mut(slot).is_none() {
+            // Copy-on-write: an outstanding read view still shares this
+            // page; give the store a private copy before mutating.
+            *slot = Arc::from(&slot[..]);
+        }
+        Arc::get_mut(slot)
     }
 
     /// Write `data` starting at `offset`.
     pub fn write(&mut self, offset: u64, data: &[u8]) {
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let page_idx = abs / STORE_PAGE;
-            let in_page = (abs % STORE_PAGE) as usize;
-            let chunk = ((STORE_PAGE as usize) - in_page).min(data.len() - pos);
-            let slot = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Arc::from(vec![0u8; STORE_PAGE as usize]));
-            if Arc::get_mut(slot).is_none() {
-                // Copy-on-write: an outstanding read view still shares this
-                // page; give the store a private copy before mutating.
-                let private: Arc<[u8]> = Arc::from(&slot[..]);
-                *slot = private;
-            }
-            if let Some(page) = Arc::get_mut(slot) {
+        for (idx, in_page, pos, chunk) in pieces(offset, data.len()) {
+            if let Some(page) = self.page_mut(idx) {
                 page[in_page..in_page + chunk].copy_from_slice(&data[pos..pos + chunk]);
             }
-            pos += chunk;
         }
         self.bytes_written += data.len() as u64;
     }
 
-    /// Number of resident pages (sparse footprint).
+    /// Write `data` starting at `offset`. Pattern content keeps every page
+    /// it covers whole as a pattern page and materializes the rest.
+    pub fn write_content(&mut self, offset: u64, data: &Content) {
+        let (layout, at, len) = match *data {
+            Content::Bytes(ref b) => return self.write(offset, b),
+            Content::Pattern { layout, at, len } => (layout, at, len),
+        };
+        for (idx, in_page, pos, chunk) in pieces(offset, len) {
+            let at = at + pos as u64;
+            if chunk == STORE_PAGE as usize {
+                self.pages.insert(idx, Page::Pattern { layout, at });
+            } else if let Some(page) = self.page_mut(idx) {
+                layout.fill(at, &mut page[in_page..in_page + chunk]);
+            }
+        }
+        self.bytes_written += len as u64;
+    }
+
+    /// Number of resident (materialized) pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages
+            .values()
+            .filter(|p| matches!(p, Page::Resident(_)))
+            .count()
+    }
+
+    /// Number of pattern pages (held as descriptors, no bytes).
+    pub fn pattern_pages(&self) -> usize {
+        self.pages.len() - self.resident_pages()
     }
 
     /// Total bytes written over the store's lifetime.
@@ -170,7 +308,9 @@ mod tests {
         assert_eq!(&b[..256], &[9u8; 256][..]);
         // Both reads share the resident page rather than copying it:
         // strong count = store + a + b.
-        let page = store.pages.get(&0).unwrap();
+        let Some(Page::Resident(page)) = store.pages.get(&0) else {
+            panic!("page 0 is not resident");
+        };
         assert_eq!(Arc::strong_count(page), 3);
     }
 
@@ -195,5 +335,108 @@ mod tests {
         // Both are views of the same lazily created zero page.
         assert_eq!(Arc::strong_count(store.zero.get().unwrap()), 3);
         assert_eq!(store.resident_pages(), 0);
+    }
+
+    const LAYOUT: PatternLayout = PatternLayout {
+        seed: 11,
+        stripe_unit: 16 * 1024,
+        factor: 3,
+        slot: 2,
+    };
+
+    /// The bytes `content` stands for.
+    fn bytes_of(content: &Content) -> Bytes {
+        match content {
+            Content::Bytes(b) => b.clone(),
+            Content::Pattern { layout, at, len } => {
+                let mut out = BytesMut::zeroed(*len);
+                layout.fill(*at, &mut out);
+                out.freeze()
+            }
+        }
+    }
+
+    fn pattern(at: u64, len: usize) -> Content {
+        Content::Pattern {
+            layout: LAYOUT,
+            at,
+            len,
+        }
+    }
+
+    #[test]
+    fn whole_pages_stay_virtual_and_read_back_exactly() {
+        let mut store = BlockStore::new();
+        let len = 3 * STORE_PAGE as usize;
+        let content = pattern(STORE_PAGE, len);
+        store.write_content(STORE_PAGE, &content);
+        assert_eq!((store.resident_pages(), store.pattern_pages()), (0, 3));
+        assert_eq!(store.bytes_written(), len as u64);
+        let expect = bytes_of(&content);
+        // Whole range, a straddling range and a single-page sub-range.
+        assert_eq!(store.read(STORE_PAGE, len), expect);
+        let (lo, n) = (STORE_PAGE - 100, STORE_PAGE as usize + 300);
+        let back = store.read(lo, n);
+        assert!(back[..100].iter().all(|&b| b == 0));
+        assert_eq!(&back[100..], &expect[..n - 100]);
+        assert_eq!(
+            store.read(STORE_PAGE * 2 + 7, 999),
+            expect.slice(65_543..66_542)
+        );
+        // Reads never materialize.
+        assert_eq!(store.resident_pages(), 0);
+    }
+
+    #[test]
+    fn partial_pattern_pages_are_materialized() {
+        let mut store = BlockStore::new();
+        store.write(0, &[5u8; 200]);
+        let content = pattern(40, STORE_PAGE as usize + 1000);
+        store.write_content(100, &content);
+        // Page 0 is covered from byte 100 on, page 1 only in part.
+        assert_eq!((store.resident_pages(), store.pattern_pages()), (2, 0));
+        let back = store.read(0, STORE_PAGE as usize * 2);
+        assert!(back[..100].iter().all(|&b| b == 5));
+        assert_eq!(&back[100..100 + content.len()], &bytes_of(&content)[..]);
+        assert!(back[100 + content.len()..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn byte_write_into_a_pattern_page_materializes_it() {
+        let mut store = BlockStore::new();
+        let content = pattern(0, 2 * STORE_PAGE as usize);
+        store.write_content(0, &content);
+        let view = store.read(STORE_PAGE, 64);
+        store.write(STORE_PAGE + 1_000, &[0xee; 100]);
+        assert_eq!((store.resident_pages(), store.pattern_pages()), (1, 1));
+        let mut expect = bytes_of(&content).to_vec();
+        expect[STORE_PAGE as usize + 1_000..STORE_PAGE as usize + 1_100].fill(0xee);
+        assert_eq!(store.read(0, expect.len()), expect);
+        // An earlier view is unaffected.
+        assert_eq!(
+            view,
+            bytes_of(&content).slice(STORE_PAGE as usize..STORE_PAGE as usize + 64)
+        );
+        // Pattern content written back over a resident page makes it
+        // virtual again.
+        store.write_content(0, &content);
+        assert_eq!((store.resident_pages(), store.pattern_pages()), (0, 2));
+    }
+
+    #[test]
+    fn content_slices_like_bytes() {
+        let p = pattern(10, 1000);
+        let s = p.slice(100..300);
+        assert_eq!(s.len(), 200);
+        assert_eq!(bytes_of(&s), bytes_of(&p).slice(100..300));
+        assert!(p.slice(5..5).is_empty());
+        let b = Content::from(Bytes::from(vec![1u8, 2, 3]));
+        assert_eq!(bytes_of(&b.slice(1..3)), vec![2u8, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn content_slice_past_end_panics() {
+        pattern(0, 10).slice(5..11);
     }
 }

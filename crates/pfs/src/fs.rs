@@ -3,15 +3,16 @@
 //! [`ParallelFs::new`] wires a machine up: one PFS server per I/O node,
 //! the pointer server on the service node, and the RPC fabric between
 //! them. Files are created with explicit stripe attributes, populated
-//! through [`ParallelFs::populate_with`] (experiment setup — writes land
-//! directly on the UFS instances without charging client time), and
-//! opened per node with [`ParallelFs::open`].
+//! through [`ParallelFs::populate_pattern`] or [`ParallelFs::populate_with`]
+//! (experiment setup — writes land directly on the UFS instances without
+//! charging client time), and opened per node with [`ParallelFs::open`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
+use paragon_disk::{Content, PatternLayout};
 use paragon_machine::Machine;
 use paragon_mesh::NodeId;
 use paragon_os::{ArtConfig, ArtPool, ArtStats, RpcClient, RpcNet, RpcPolicy};
@@ -261,6 +262,8 @@ impl ParallelFs {
     /// Experiment setup: the data lands directly on the per-slot UFS
     /// files (the simulated disks still charge their write time, but no
     /// client/mesh time is consumed — populate before starting the clock).
+    /// Every byte is materialized; for the test pattern use
+    /// [`ParallelFs::populate_pattern`], which keeps it virtual.
     pub async fn populate_with(
         &self,
         file: PfsFileId,
@@ -274,18 +277,8 @@ impl ParallelFs {
         let su = meta.attrs.stripe_unit;
         let g = meta.attrs.factor() as u64;
         // Build each slot's stripe file content in one pass.
-        let mut slot_bufs: Vec<BytesMut> = (0..g)
-            .map(|slot| {
-                // Slot length: full rows plus the clipped final row.
-                let units = size.div_ceil(su);
-                let full = units / g + u64::from(units % g > slot);
-                let mut len = full * su;
-                // The very last unit may be clipped by the file size.
-                if units > 0 && (units - 1) % g == slot && !size.is_multiple_of(su) {
-                    len -= su - size % su;
-                }
-                BytesMut::zeroed(len as usize)
-            })
+        let mut slot_bufs: Vec<BytesMut> = slot_lens(size, su, g)
+            .map(|len| BytesMut::zeroed(len as usize))
             .collect();
         for unit in 0..size.div_ceil(su) {
             let slot = (unit % g) as usize;
@@ -299,15 +292,58 @@ impl ParallelFs {
                 *b = fill(ustart + i as u64);
             }
         }
+        let contents = slot_bufs.into_iter().map(|b| Content::from(b.freeze()));
+        self.populate_slots(&meta, contents).await
+    }
+
+    /// Lay `size` bytes of the test pattern with `seed` into `file`:
+    /// byte `i` = `pattern_byte(seed, i)`.
+    ///
+    /// Issues exactly the device writes of [`ParallelFs::populate_with`]
+    /// with the same fill, so the run is event-for-event the same, but
+    /// the disk stores keep the content as pattern pages and synthesize
+    /// it on read.
+    pub async fn populate_pattern(
+        &self,
+        file: PfsFileId,
+        size: u64,
+        seed: u64,
+    ) -> Result<(), PfsError> {
+        if size == 0 {
+            return Ok(());
+        }
+        let meta = self.registry.borrow().get(file)?.clone();
+        let su = meta.attrs.stripe_unit;
+        let g = meta.attrs.factor() as u64;
+        let contents = slot_lens(size, su, g).enumerate().map(|(slot, len)| {
+            let layout = PatternLayout {
+                seed,
+                stripe_unit: su,
+                factor: g,
+                slot: slot as u64,
+            };
+            Content::Pattern {
+                layout,
+                at: 0,
+                len: len as usize,
+            }
+        });
+        self.populate_slots(&meta, contents).await
+    }
+
+    /// Write each slot's stripe-file content, in slot order, to every copy
+    /// of the slot: the primary first, extra replicas after, one write
+    /// task per copy so replicated populates still overlap across nodes.
+    async fn populate_slots(
+        &self,
+        meta: &FileMeta,
+        contents: impl Iterator<Item = Content>,
+    ) -> Result<(), PfsError> {
         let mut handles = Vec::new();
-        for (slot, buf) in slot_bufs.into_iter().enumerate() {
-            if buf.is_empty() {
+        for (slot, data) in contents.enumerate() {
+            if data.is_empty() {
                 continue;
             }
-            let data = buf.freeze();
-            // Every copy of the slot gets the identical content (the
-            // primary first, extra replicas after — one write task per
-            // copy, so replicated populates still overlap across nodes).
             for copy in meta.slot_replicas(slot as u16)? {
                 let ufs = self.machine.ufs(copy.ion).clone();
                 let data = data.clone();
@@ -502,28 +538,26 @@ impl ParallelFs {
     }
 }
 
-/// Deterministic file content used throughout tests and experiments:
-/// byte `i` of a file with `seed` is `pattern_byte(seed, i)`.
-pub fn pattern_byte(seed: u64, offset: u64) -> u8 {
-    let x = offset
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(seed.wrapping_mul(0xd134_2543_de82_ef95));
-    ((x >> 32) ^ x) as u8
-}
-
-/// Materialize `[offset, offset + len)` of the pattern file (what a read
-/// should return).
-pub fn pattern_slice(seed: u64, offset: u64, len: usize) -> Bytes {
-    let mut buf = BytesMut::zeroed(len);
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = pattern_byte(seed, offset + i as u64);
-    }
-    buf.freeze()
+/// Stripe-file length of every slot of a `size`-byte file striped over
+/// `g` slots in `su`-byte units: full rows plus the clipped final row.
+fn slot_lens(size: u64, su: u64, g: u64) -> impl Iterator<Item = u64> {
+    let units = size.div_ceil(su);
+    (0..g).map(move |slot| {
+        let full = units / g + u64::from(units % g > slot);
+        let mut len = full * su;
+        // The very last unit may be clipped by the file size.
+        if units > 0 && (units - 1) % g == slot && !size.is_multiple_of(su) {
+            len -= su - size % su;
+        }
+        len
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern_slice;
+    use bytes::Bytes;
     use paragon_machine::MachineConfig;
 
     const KB: u64 = 1024;
@@ -542,9 +576,7 @@ mod tests {
         seed: u64,
     ) -> PfsFileId {
         let id = pfs.create(name, attrs).await.unwrap();
-        pfs.populate_with(id, size, |i| pattern_byte(seed, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(id, size, seed).await.unwrap();
         id
     }
 
@@ -758,13 +790,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take(), Some(true));
-    }
-
-    #[test]
-    fn pattern_helpers_are_consistent() {
-        let s = pattern_slice(5, 100, 50);
-        for i in 0..50u64 {
-            assert_eq!(s[i as usize], pattern_byte(5, 100 + i));
-        }
     }
 }

@@ -11,25 +11,26 @@
 //!
 //! 1. build a [`paragon_machine::Machine`],
 //! 2. mount with [`ParallelFs::new`],
-//! 3. [`ParallelFs::create`] + [`ParallelFs::populate_with`],
+//! 3. [`ParallelFs::create`] + [`ParallelFs::populate_pattern`] (or
+//!    [`ParallelFs::populate_with`] for arbitrary content),
 //! 4. per compute node, [`ParallelFs::open`] and issue [`PfsFile::read`]s.
 //!
 //! ```
 //! use std::rc::Rc;
 //! use paragon_sim::Sim;
 //! use paragon_machine::{Machine, MachineConfig};
-//! use paragon_pfs::{pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+//! use paragon_pfs::{pattern_matches, IoMode, OpenOptions, ParallelFs, StripeAttrs};
 //!
 //! let sim = Sim::new(7);
 //! let machine = Rc::new(Machine::new(&sim, MachineConfig::tiny_instant(2, 2)));
 //! let pfs = ParallelFs::new(machine);
 //! let h = sim.spawn(async move {
 //!     let file = pfs.create("/pfs/doc", StripeAttrs::across(2, 16 * 1024)).await.unwrap();
-//!     pfs.populate_with(file, 256 * 1024, |i| pattern_byte(3, i)).await.unwrap();
+//!     pfs.populate_pattern(file, 256 * 1024, 3).await.unwrap();
 //!     // Rank 1 of 2 reads its first M_RECORD record: record #1.
 //!     let f = pfs.open(1, 2, file, IoMode::MRecord, OpenOptions::default()).unwrap();
 //!     let data = f.read(32 * 1024).await.unwrap();
-//!     data == pattern_slice(3, 32 * 1024, 32 * 1024)
+//!     pattern_matches(3, 32 * 1024, &data)
 //! });
 //! sim.run();
 //! assert_eq!(h.try_take(), Some(true));
@@ -49,9 +50,10 @@ mod server;
 mod stripe;
 
 pub use client::{ClientParams, ClientStats, OpenOptions, PfsFile};
-pub use fs::{pattern_byte, pattern_slice, ParallelFs};
+pub use fs::ParallelFs;
 pub use meta::{FileMeta, Registry, Replica};
 pub use modes::IoMode;
+pub use paragon_disk::{pattern_byte, pattern_matches, pattern_slice};
 pub use pointer::{PointerServer, PointerStats};
 pub use proto::{PfsError, PfsFileId, PfsRequest, PfsResponse, PtrRequest};
 pub use rebuild::{rebuild_after_crash, RebuildConfig, RebuildStats};

@@ -5,9 +5,7 @@
 use std::rc::Rc;
 
 use paragon_machine::{Machine, MachineConfig};
-use paragon_pfs::{
-    pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFileId, StripeAttrs,
-};
+use paragon_pfs::{pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFileId, StripeAttrs};
 use paragon_sim::{Rng, Sim};
 
 fn mount(sim: &Sim, cn: usize, ion: usize) -> Rc<ParallelFs> {
@@ -20,9 +18,7 @@ async fn make_file(pfs: &ParallelFs, size: u64, seed: u64) -> PfsFileId {
         .create("/pfs/sem", StripeAttrs::across(2, 16 * 1024))
         .await
         .unwrap();
-    pfs.populate_with(id, size, |i| pattern_byte(seed, i))
-        .await
-        .unwrap();
+    pfs.populate_pattern(id, size, seed).await.unwrap();
     id
 }
 

@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
-use paragon_disk::{DiskError, RaidArray};
+use paragon_disk::{Content, DiskError, RaidArray};
 use paragon_sim::{ReqId, Sim, SimDuration};
 
 use crate::alloc::{ExtentAllocator, NoSpace};
@@ -212,7 +212,14 @@ impl Ufs {
     }
 
     /// Write-through write at `offset`, growing the file as needed.
-    pub async fn write(&self, id: InodeId, offset: u64, data: Bytes) -> Result<(), UfsError> {
+    /// `data` may be pattern content, which the store keeps virtual.
+    pub async fn write(
+        &self,
+        id: InodeId,
+        offset: u64,
+        data: impl Into<Content>,
+    ) -> Result<(), UfsError> {
+        let data = data.into();
         if data.is_empty() {
             return Ok(());
         }
@@ -268,7 +275,7 @@ impl Ufs {
 
     /// Byte slice of `data` covered by `run`, plus the device byte offset
     /// it lands at, clipped to the write range.
-    fn slice_for_run(&self, run: &DiskRun, write_off: u64, data: &Bytes) -> (Bytes, u64) {
+    fn slice_for_run(&self, run: &DiskRun, write_off: u64, data: &Content) -> (Content, u64) {
         let bs = self.bs();
         let run_start_byte = run.file_block * bs;
         let run_end_byte = (run.file_block + run.len) * bs;

@@ -16,8 +16,8 @@ use std::cell::Cell;
 use paragon_core::{PrefetchGauges, PrefetchStats, PrefetchingFile};
 use paragon_machine::{Machine, MachineConfig};
 use paragon_pfs::{
-    pattern_byte, pattern_slice, rebuild_after_crash, IoMode, OpenOptions, ParallelFs, PfsFile,
-    PfsFileId, RebuildConfig, RebuildStats, Redundancy,
+    pattern_matches, rebuild_after_crash, IoMode, OpenOptions, ParallelFs, PfsFile, PfsFileId,
+    RebuildConfig, RebuildStats, Redundancy,
 };
 use paragon_sim::{
     ev, run_sharded, run_sharded_profiled, EventKind, KernelProfile, ShardPlan, Sim, SimDuration,
@@ -368,7 +368,7 @@ pub(crate) async fn setup_files(pfs: &Rc<ParallelFs>, cfg: &ExperimentConfig) ->
                 .await
                 .expect("create failed");
             let seed = cfg.seed ^ (rank as u64).wrapping_mul(0x9e37);
-            pfs.populate_with(id, cfg.file_size, |i| pattern_byte(seed, i))
+            pfs.populate_pattern(id, cfg.file_size, seed)
                 .await
                 .expect("populate failed");
             files.push(id);
@@ -376,8 +376,7 @@ pub(crate) async fn setup_files(pfs: &Rc<ParallelFs>, cfg: &ExperimentConfig) ->
         files
     } else {
         let id = pfs.create("/pfs/data", attrs).await.expect("create failed");
-        let seed = cfg.seed;
-        pfs.populate_with(id, cfg.file_size, |i| pattern_byte(seed, i))
+        pfs.populate_pattern(id, cfg.file_size, cfg.seed)
             .await
             .expect("populate failed");
         vec![id]
@@ -560,7 +559,7 @@ pub(crate) async fn node_program(ctx: NodeCtx) -> NodeResult {
                 (None, _) => None,
             };
             if let Some(off) = expect {
-                if data[..] != pattern_slice(pattern_seed, off, sz as usize)[..] {
+                if data.len() != sz as usize || !pattern_matches(pattern_seed, off, &data) {
                     ctx.verify_failures.set(ctx.verify_failures.get() + 1);
                 }
             }
@@ -815,5 +814,55 @@ mod tests {
         assert!(with_delay.elapsed > without.elapsed);
         // 16 reads → 15 delays of 10 ms each, minimum.
         assert!(with_delay.elapsed >= SimDuration::from_millis(150));
+    }
+
+    /// The runner's byte check sees through virtual pattern content: one
+    /// wrong byte written over a populated extent is reported.
+    #[test]
+    fn a_wrong_byte_over_pattern_content_fails_verification() {
+        let cfg = tiny(IoMode::MRecord);
+        let sim = Sim::new(cfg.seed);
+        let machine = Rc::new(Machine::new(
+            &sim,
+            MachineConfig {
+                compute_nodes: cfg.compute_nodes,
+                io_nodes: cfg.io_nodes,
+                calib: cfg.calib.clone(),
+            },
+        ));
+        let pfs = ParallelFs::new(machine.clone());
+        let failures: Rc<Cell<u64>> = Rc::new(Cell::new(0));
+        let (sim2, failures2) = (sim.clone(), failures.clone());
+        sim.spawn(async move {
+            let files = setup_files(&pfs, &cfg).await;
+            // Flip byte 5000 of slot 1's stripe file on its I/O node.
+            let (ion, inode) = pfs.stat(files[0]).unwrap().slots[1];
+            let ufs = machine.ufs(ion);
+            let old = ufs.read_direct(inode, 5_000, 1).await.unwrap()[0];
+            ufs.write(inode, 5_000, bytes::Bytes::from(vec![!old]))
+                .await
+                .unwrap();
+            let t0 = sim2.now();
+            let mut handles = Vec::new();
+            for rank in 0..cfg.compute_nodes {
+                let ctx = NodeCtx {
+                    sim: sim2.clone(),
+                    pfs: pfs.clone(),
+                    cfg: cfg.clone(),
+                    rank,
+                    file: files[0],
+                    t0,
+                    in_io: Rc::new(Cell::new(0)),
+                    prefetch_gauges: PrefetchGauges::default(),
+                    verify_failures: failures2.clone(),
+                };
+                handles.push(sim2.spawn(node_program(ctx)));
+            }
+            for h in handles {
+                h.await;
+            }
+        });
+        sim.run();
+        assert_eq!(failures.get(), 1, "exactly the one corrupted read fails");
     }
 }

@@ -13,7 +13,7 @@
 use std::rc::Rc;
 
 use paragon::machine::{Machine, MachineConfig};
-use paragon::pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::prefetch::{PrefetchConfig, PrefetchingFile};
 use paragon::sim::{Sim, SimDuration};
 
@@ -37,9 +37,7 @@ fn run_case(hotspot: bool, prefetch: bool) -> (f64, u64) {
             .create("/pfs/hot", StripeAttrs::across(8, 64 * 1024))
             .await
             .unwrap();
-        pfs2.populate_with(file, FILE, |i| pattern_byte(3, i))
-            .await
-            .unwrap();
+        pfs2.populate_pattern(file, FILE, 3).await.unwrap();
         let t0 = sim2.now();
         let rounds = FILE / (REQUEST as u64 * NODES as u64);
         let mut tasks = Vec::new();

@@ -18,7 +18,7 @@
 use std::rc::Rc;
 
 use paragon::machine::{Machine, MachineConfig};
-use paragon::pfs::{pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon::pfs::{pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::sim::{Sim, SimDuration};
 
 const NODES: usize = 4;
@@ -38,9 +38,7 @@ fn main() {
                 .await
                 .unwrap();
             let size = RECORDS * RECORD as u64;
-            pfs2.populate_with(file, size, |i| pattern_byte(1, i))
-                .await
-                .unwrap();
+            pfs2.populate_pattern(file, size, 1).await.unwrap();
             let t0 = sim2.now();
             let rounds = match mode {
                 IoMode::MGlobal => RECORDS, // everyone reads every record

@@ -8,7 +8,7 @@
 use std::rc::Rc;
 
 use paragon::machine::{Machine, MachineConfig};
-use paragon::pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::prefetch::{PrefetchConfig, PrefetchingFile};
 use paragon::sim::{Sim, SimDuration};
 
@@ -33,9 +33,7 @@ fn main() {
                     .create("/pfs/quickstart", StripeAttrs::across(8, 64 * KB))
                     .await
                     .unwrap();
-                pfs.populate_with(file, FILE_SIZE, |i| pattern_byte(7, i))
-                    .await
-                    .unwrap();
+                pfs.populate_pattern(file, FILE_SIZE, 7).await.unwrap();
 
                 // A single node reads it sequentially with some compute
                 // between reads (a "balanced" workload).

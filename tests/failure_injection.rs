@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use paragon::machine::{Machine, MachineConfig};
-use paragon::pfs::{pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon::pfs::{pattern_slice, IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::prefetch::{PrefetchConfig, PrefetchingFile};
 use paragon::sim::{Sim, SimDuration};
 
@@ -25,9 +25,7 @@ fn run_with_hotspot(factor: f64, prefetch: bool, seed: u64) -> (SimDuration, boo
             .create("/pfs/hot", StripeAttrs::across(8, 64 * KB))
             .await
             .unwrap();
-        pfs.populate_with(id, 4 << 20, |i| pattern_byte(seed, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(id, 4 << 20, seed).await.unwrap();
         let t0 = sim2.now();
         let mut tasks = Vec::new();
         for rank in 0..4usize {
@@ -106,9 +104,7 @@ fn prefetch_buffer_pressure_wastes_but_never_corrupts() {
             .create("/pfs/pressure", StripeAttrs::across(2, 16 * KB))
             .await
             .unwrap();
-        pfs.populate_with(id, 2 << 20, |i| pattern_byte(9, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(id, 2 << 20, 9).await.unwrap();
         let f = pfs
             .open(0, 1, id, IoMode::MAsync, OpenOptions::default())
             .unwrap();
@@ -146,9 +142,7 @@ fn run_with_ion_crash(seed: u64) -> (SimDuration, bool) {
             .create("/pfs/crash", StripeAttrs::across(2, 16 * KB))
             .await
             .unwrap();
-        pfs.populate_with(id, 1 << 20, |i| pattern_byte(seed, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(id, 1 << 20, seed).await.unwrap();
         // Crash I/O node 0 for 30 virtual seconds starting now: requests
         // and replies to it vanish. The client's per-attempt deadline
         // (60 s on the instant calibration) outlasts the window, so the
@@ -389,9 +383,7 @@ fn replica_failover_read_emits_the_golden_trace() {
             .create("/pfs/golden", StripeAttrs::across(3, 16 * KB))
             .await
             .unwrap();
-        pfs.populate_with(id, 96 * KB, |i| pattern_byte(43, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(id, 96 * KB, 43).await.unwrap();
         let now = sim2.now();
         faults.crash_node(crash, now, now + SimDuration::from_secs(1_000_000));
         faults.arm();

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use paragon::machine::{Machine, MachineConfig};
-use paragon::pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::prefetch::{PrefetchConfig, PrefetchingFile};
 use paragon::sim::{Rng, Sim};
 
@@ -57,9 +57,7 @@ fn run_script(s: &Script, prefetch: bool) -> Vec<u8> {
     let h = sim.spawn(async move {
         let attrs = StripeAttrs::across(s2.io_nodes, s2.stripe_unit);
         let file = pfs.create("/pfs/prop", attrs).await.unwrap();
-        pfs.populate_with(file, file_size, |i| pattern_byte(13, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(file, file_size, 13).await.unwrap();
         // Exercise rank nprocs-1 (the interesting stride for M_RECORD).
         let f = pfs
             .open(

@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use paragon::machine::{Calibration, Machine, MachineConfig};
-use paragon::pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
+use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::prefetch::{PrefetchConfig, PrefetchingFile};
 use paragon::sim::{export_json, hash_events, EventKind, Sim, TraceEvent};
 use paragon::workload::{read_spans, run, ExperimentConfig, SpanKind};
@@ -32,9 +32,7 @@ fn golden_trace() -> Vec<TraceEvent> {
             .create("/pfs/golden", StripeAttrs::across(2, 64 * KB))
             .await
             .unwrap();
-        pfs.populate_with(id, 512 * KB, |i| pattern_byte(13, i))
-            .await
-            .unwrap();
+        pfs.populate_pattern(id, 512 * KB, 13).await.unwrap();
         let f = pfs
             .open(0, 1, id, IoMode::MRecord, OpenOptions::default())
             .unwrap();
