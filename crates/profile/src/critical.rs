@@ -1,13 +1,16 @@
-//! Per-request critical-path analysis.
+//! Per-request critical-path analysis: the one place a trace is turned
+//! into per-read milestones.
 //!
-//! [`read_spans`](https://docs.rs) in `paragon-workload` decomposes a
-//! read into four coarse phases; this module sharpens that into the full
-//! component chain a demand read's critical path actually walks:
+//! Each completed read's events, grouped by request id, are charged
+//! across the component chain its critical path actually walks:
 //!
 //! ```text
 //! client → art-queue → mesh-request → server-queue → service → disk
 //!        → server-reply → mesh-reply → client-finish
 //! ```
+//!
+//! The four-phase Table-2 decomposition (`paragon_workload::read_spans`)
+//! is a fold of these legs, not a second reconstruction.
 //!
 //! Each component's blame is the distance between two *milestones* —
 //! trace instants chain-clamped to be monotone inside the span — so the
@@ -44,6 +47,17 @@ pub const COMPONENTS: [&str; 9] = [
     "client-finish",
 ];
 
+/// How a transfer entered the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanKind {
+    /// Plain demand read (no prefetch engine, or engine bypass).
+    Demand,
+    /// Demand read that missed the prefetch list and went to the PFS.
+    DemandMiss,
+    /// Asynchronous prefetch transfer issued by the engine.
+    Prefetch,
+}
+
 /// One request's critical path: its end-to-end interval charged, to the
 /// nanosecond, across the nine pipeline components.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +68,8 @@ pub struct CriticalPath {
     pub offset: u64,
     /// Bytes requested.
     pub len: u64,
+    /// Demand read, prefetch miss, or prefetch transfer.
+    pub kind: SpanKind,
     /// Time the read entered the client.
     pub start: SimTime,
     /// Time the read returned to the caller.
@@ -151,41 +167,39 @@ pub fn critical_paths(events: &[TraceEvent]) -> Vec<CriticalPath> {
 
         // Overlap accounting: FIFO-pair each spindle's start/done
         // commands, sum the member busy time, subtract the wall-clock
-        // envelope the `disk` leg already charged.
+        // envelope (first disk start → last disk done, the raw `disk`
+        // milestones) the `disk` leg already charged.
         let mut open: BTreeMap<Track, Vec<SimTime>> = BTreeMap::new();
         let mut member_busy = 0u64;
-        let (mut first_disk, mut last_disk) = (None::<SimTime>, None::<SimTime>);
         for e in &evs {
             match e.kind {
-                EventKind::DiskStart => {
-                    open.entry(e.track).or_default().push(e.time);
-                    first_disk = Some(first_disk.map_or(e.time, |t: SimTime| t.min(e.time)));
-                }
+                EventKind::DiskStart => open.entry(e.track).or_default().push(e.time),
                 EventKind::DiskDone => {
-                    if let Some(s) = open.get_mut(&e.track).and_then(|v| {
-                        if v.is_empty() {
-                            None
-                        } else {
-                            Some(v.remove(0))
-                        }
-                    }) {
-                        member_busy += e.time.since(s).as_nanos();
+                    if let Some(v) = open.get_mut(&e.track).filter(|v| !v.is_empty()) {
+                        member_busy += e.time.since(v.remove(0)).as_nanos();
                     }
-                    last_disk = Some(last_disk.map_or(e.time, |t: SimTime| t.max(e.time)));
                 }
                 _ => {}
             }
         }
-        let envelope = match (first_disk, last_disk) {
+        let envelope = match (raw[4], raw[5]) {
             (Some(f), Some(l)) if l > f => l.since(f).as_nanos(),
             _ => 0,
         };
         let overlap_hidden_ns = member_busy.saturating_sub(envelope);
         let faults = evs.iter().filter(|e| is_fault_recovery(e.kind)).count() as u32;
+        let kind = if evs.iter().any(|e| e.kind == EventKind::PrefetchIssue) {
+            SpanKind::Prefetch
+        } else if evs.iter().any(|e| e.kind == EventKind::PrefetchMiss) {
+            SpanKind::DemandMiss
+        } else {
+            SpanKind::Demand
+        };
         out.push(CriticalPath {
             req,
             offset: start_ev.a,
             len: start_ev.b,
+            kind,
             start,
             end,
             legs,

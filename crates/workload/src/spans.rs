@@ -1,43 +1,31 @@
-//! Span reconstruction: from a flat flight-recorder trace to the life of
-//! each read.
+//! The paper's Table 2 access-time decomposition, folded from the
+//! per-request critical paths.
 //!
-//! Every PFS transfer carries a request id from the compute node through
-//! the ART, the mesh, the server, and the disks (see
-//! `paragon_sim::trace`). This module groups a recording by request id
-//! and decomposes each `read-start … read-done` interval into four
-//! consecutive phases:
+//! [`paragon_profile::critical_paths`] is the one reconstruction of a
+//! read's life from the flight recorder: it groups events by request id
+//! and charges every nanosecond of each `read-start … read-done`
+//! interval to one of nine pipeline legs. This module folds those legs
+//! into the paper's four consecutive phases:
 //!
-//! * **request** — client-side setup, ART queueing, and the request
-//!   message's mesh transit, up to the last request leg's arrival at an
-//!   I/O node;
-//! * **service** — server thread and protocol overheads before the first
-//!   disk command starts moving;
-//! * **disk** — first disk command start to last disk command
+//! * **request** = client + art-queue + mesh-request — client-side
+//!   setup, ART queueing, and the request message's mesh transit, up to
+//!   the last request leg's arrival at an I/O node;
+//! * **service** = server-queue + service — server queueing and
+//!   protocol overheads before the first disk command starts moving;
+//! * **disk** = disk — first disk command start to last disk command
 //!   completion (seek + rotation + media transfer across the RAID);
-//! * **reply** — reply mesh transit plus the client's scatter copy, up
-//!   to `read-done`.
+//! * **reply** = server-reply + mesh-reply + client-finish — reply mesh
+//!   transit plus the client's scatter copy, up to `read-done`.
 //!
-//! Phase boundaries are clamped to be monotone inside the span, so the
-//! four phases **sum exactly** to the end-to-end latency by
-//! construction — the paper's Table 2 access-time decomposition, derived
-//! from the trace instead of from hand-placed timers. Reads that never
-//! touch a disk (server cache hits) get a zero disk phase.
-
-use std::collections::BTreeMap;
+//! The legs sum exactly to the end-to-end latency, so the four phases
+//! do too. Reads that never touch a disk (server cache hits) get a zero
+//! disk phase.
 
 use paragon_metrics::{Histogram, Table};
-use paragon_sim::{EventKind, ReqId, SimDuration, SimTime, TraceEvent, Track};
+use paragon_profile::critical_paths;
+use paragon_sim::{EventKind, ReqId, SimDuration, SimTime, TraceEvent};
 
-/// How a transfer entered the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// Plain demand read (no prefetch engine, or engine bypass).
-    Demand,
-    /// Demand read that missed the prefetch list and went to the PFS.
-    DemandMiss,
-    /// Asynchronous prefetch transfer issued by the engine.
-    Prefetch,
-}
+pub use paragon_profile::SpanKind;
 
 /// One reconstructed read: a request id's `read-start → read-done`
 /// interval, decomposed into consecutive phases.
@@ -57,7 +45,7 @@ pub struct ReadSpan {
     pub end: SimTime,
     /// Client + ART + request mesh transit.
     pub request: SimDuration,
-    /// Server-side overheads before the first disk command.
+    /// Server queueing and overheads before the first disk command.
     pub service: SimDuration,
     /// Disk busy interval (first command start → last completion).
     pub disk: SimDuration,
@@ -142,32 +130,6 @@ pub fn kind_class(kind: EventKind) -> KindClass {
     }
 }
 
-/// Degraded windows of a recording: for each `fault-node-down` marker,
-/// the interval to the matching explicit `fault-node-recovered` event on
-/// the same node, measured *directly from the trace* rather than
-/// inferred from the fault plan's configured window bound. Nodes still
-/// down when recording stopped yield `None` ends.
-pub fn degraded_windows(events: &[TraceEvent]) -> Vec<(u64, SimTime, Option<SimTime>)> {
-    let mut open: BTreeMap<u64, SimTime> = BTreeMap::new();
-    let mut out = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::FaultNodeDown => {
-                open.entry(e.a).or_insert(e.time);
-            }
-            EventKind::FaultNodeRecovered => {
-                if let Some(from) = open.remove(&e.a) {
-                    out.push((e.a, from, Some(e.time)));
-                }
-            }
-            _ => {}
-        }
-    }
-    out.extend(open.into_iter().map(|(node, from)| (node, from, None)));
-    out.sort_by_key(|&(node, from, _)| (from, node));
-    out
-}
-
 /// Fault-related events of a recording, in time order: plan injections
 /// (disk errors, mesh drop/dup/delay, crash-window edges) and the
 /// recovery actions they triggered (RPC retries/give-ups, RAID
@@ -179,84 +141,32 @@ pub fn fault_events(events: &[TraceEvent]) -> Vec<&TraceEvent> {
         .collect()
 }
 
-/// Reconstruct every completed read span in `events`.
+/// Every completed read span in `events`, in request-id order: each
+/// read's critical path with its nine legs folded into the four phases.
 ///
 /// A span needs a `read-start` and a matching `read-done` under the same
 /// request id; transfers still in flight when recording stopped (or cut
 /// off by the trace cap) are skipped.
 pub fn read_spans(events: &[TraceEvent]) -> Vec<ReadSpan> {
-    // Group this request's events; traces are time-ordered already.
-    let mut by_req: BTreeMap<ReqId, Vec<&TraceEvent>> = BTreeMap::new();
-    for e in events {
-        if e.req != 0 {
-            by_req.entry(e.req).or_default().push(e);
-        }
-    }
-    let mut spans = Vec::new();
-    for (req, evs) in by_req {
-        let Some(start_ev) = evs.iter().find(|e| e.kind == EventKind::ReadStart) else {
-            continue;
-        };
-        let Some(end_ev) = evs.iter().rev().find(|e| e.kind == EventKind::ReadDone) else {
-            continue;
-        };
-        let (start, end) = (start_ev.time, end_ev.time);
-        // The client's mesh node id: source of the first request NetTx.
-        let client_node = evs.iter().find_map(|e| match (e.kind, e.track) {
-            (EventKind::NetTx, Track::Node(n)) if e.time >= start => Some(n),
-            _ => None,
-        });
-        let clamp = |t: SimTime| t.max(start).min(end);
-        // Last request-leg arrival at a non-client node. Reply NetRx
-        // events land back on the client's node and are excluded.
-        let b1 = evs
-            .iter()
-            .filter(|e| {
-                e.kind == EventKind::NetRx
-                    && match (e.track, client_node) {
-                        (Track::Node(n), Some(c)) => n != c,
-                        _ => true,
-                    }
-            })
-            .map(|e| e.time)
-            .max()
-            .map(clamp)
-            .unwrap_or(start);
-        let first_disk = evs
-            .iter()
-            .filter(|e| e.kind == EventKind::DiskStart)
-            .map(|e| e.time)
-            .min()
-            .map(clamp);
-        let last_disk = evs
-            .iter()
-            .filter(|e| e.kind == EventKind::DiskDone)
-            .map(|e| e.time)
-            .max()
-            .map(clamp);
-        let b2 = first_disk.unwrap_or(b1).max(b1);
-        let b3 = last_disk.unwrap_or(b2).max(b2);
-        let kind = if evs.iter().any(|e| e.kind == EventKind::PrefetchIssue) {
-            SpanKind::Prefetch
-        } else if evs.iter().any(|e| e.kind == EventKind::PrefetchMiss) {
-            SpanKind::DemandMiss
-        } else {
-            SpanKind::Demand
-        };
-        spans.push(ReadSpan {
-            req,
-            offset: start_ev.a,
-            len: start_ev.b,
-            kind,
-            start,
-            end,
-            request: b1.since(start),
-            service: b2.since(b1),
-            disk: b3.since(b2),
-            reply: end.since(b3),
-        });
-    }
-    spans
+    critical_paths(events)
+        .into_iter()
+        .map(|p| {
+            let legs =
+                |from: usize, to: usize| SimDuration::from_nanos(p.legs[from..to].iter().sum());
+            ReadSpan {
+                req: p.req,
+                offset: p.offset,
+                len: p.len,
+                kind: p.kind,
+                start: p.start,
+                end: p.end,
+                request: legs(0, 3),
+                service: legs(3, 5),
+                disk: legs(5, 6),
+                reply: legs(6, 9),
+            }
+        })
+        .collect()
 }
 
 /// Per-phase aggregate over a set of spans: one [`Histogram`] per phase
@@ -409,6 +319,31 @@ mod tests {
         assert_eq!(spans[0].reply, SimDuration::from_micros(11));
     }
 
+    /// A server-side hit: the server handles the request but no disk
+    /// command runs. Server queueing and handling from the request's
+    /// arrival to `serve-start` is service time, not reply time.
+    #[test]
+    fn server_hit_charges_server_queueing_to_service() {
+        let req = 8;
+        let events = vec![
+            mk(0, ev(Track::Cn(0), EventKind::ReadStart, req, 0, 64)),
+            mk(5, ev(Track::Node(0), EventKind::NetTx, req, 96, 2)),
+            mk(9, ev(Track::Node(2), EventKind::NetRx, req, 96, 0)),
+            mk(12, ev(Track::Ion(0), EventKind::ServeStart, req, 0, 64)),
+            mk(14, ev(Track::Ion(0), EventKind::ServeDone, req, 0, 64)),
+            mk(15, ev(Track::Node(2), EventKind::NetTx, req, 128, 0)),
+            mk(19, ev(Track::Node(0), EventKind::NetRx, req, 128, 2)),
+            mk(20, ev(Track::Cn(0), EventKind::ReadDone, req, 0, 64)),
+        ];
+        let spans = read_spans(&events);
+        assert_eq!(spans.len(), 1);
+        let s = &spans[0];
+        assert_eq!(s.request, SimDuration::from_micros(9));
+        assert_eq!(s.service, SimDuration::from_micros(3));
+        assert_eq!(s.disk, SimDuration::ZERO);
+        assert_eq!(s.reply, SimDuration::from_micros(8));
+    }
+
     #[test]
     fn unfinished_and_contextless_events_are_skipped() {
         let mut events = demand_read(1, 0);
@@ -464,30 +399,6 @@ mod tests {
             .map(|&k| mk(0, ev(Track::Sys, k, 0, 0, 0)))
             .collect();
         assert_eq!(fault_events(&events).len(), 18);
-    }
-
-    #[test]
-    fn degraded_windows_pair_down_with_explicit_recovery() {
-        let events = vec![
-            mk(10, ev(Track::Sys, EventKind::FaultNodeDown, 0, 5, 0)),
-            mk(15, ev(Track::Sys, EventKind::FaultNodeDown, 0, 9, 0)),
-            mk(
-                40,
-                ev(Track::Sys, EventKind::FaultNodeRecovered, 0, 5, 30_000),
-            ),
-            // Node 9 never recovers before the recording stops.
-        ];
-        let w = degraded_windows(&events);
-        assert_eq!(w.len(), 2);
-        assert_eq!(
-            w[0],
-            (
-                5,
-                SimTime::from_nanos(10_000),
-                Some(SimTime::from_nanos(40_000))
-            )
-        );
-        assert_eq!(w[1], (9, SimTime::from_nanos(15_000), None));
     }
 
     #[test]

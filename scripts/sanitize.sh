@@ -9,16 +9,17 @@
 # claim against the real thread interleavings instead of trusting it.
 #
 # Toolchains are environment, not code: when no nightly (or rustup, or
-# rust-src) is available the gate SKIPS — loudly, with the reason — so
-# hermetic CI containers still pass while developer machines with a
-# nightly get the full check. Exit 0 on skip, nonzero on a real failure.
+# rust-src) is available the gate SKIPS — loudly, with the reason — and
+# exits 77 (the automake "skipped" code), so scripts/ci.sh can report
+# the stage as skipped rather than passed. Exit 0 means TSan ran clean;
+# any other nonzero status is a real failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 skip() {
     echo "sanitize: SKIP — $1"
     echo "sanitize: install with: rustup toolchain install nightly && rustup component add rust-src --toolchain nightly"
-    exit 0
+    exit 77
 }
 
 command -v rustup >/dev/null 2>&1 || skip "rustup not found"
