@@ -91,6 +91,37 @@ fn bench_disk() {
     });
 }
 
+/// The pattern data plane: synthesizing, checking and serving one 64 KB
+/// page of pattern content.
+fn bench_pattern() {
+    use paragon_disk::{pattern_fill, pattern_matches, BlockStore, Content, PatternLayout};
+    const PAGE: usize = 64 * 1024;
+    let mut buf = vec![0u8; PAGE];
+    bench("pattern/fill_64KB", 2_000, || {
+        pattern_fill(7, black_box(3 * PAGE as u64), &mut buf);
+        buf[PAGE - 1]
+    });
+    bench("pattern/matches_64KB", 2_000, || {
+        pattern_matches(7, black_box(3 * PAGE as u64), &buf)
+    });
+    let layout = PatternLayout {
+        seed: 7,
+        stripe_unit: PAGE as u64,
+        factor: 8,
+        slot: 3,
+    };
+    let mut store = BlockStore::new();
+    let content = Content::Pattern {
+        layout,
+        at: 0,
+        len: 4 * PAGE,
+    };
+    store.write_content(0, &content);
+    bench("pattern/store_read_page_64KB", 2_000, || {
+        store.read(black_box(PAGE as u64), PAGE)
+    });
+}
+
 fn end_to_end_cfg() -> paragon_workload::ExperimentConfig {
     use paragon_machine::Calibration;
     use paragon_pfs::{IoMode, Redundancy};
@@ -158,6 +189,7 @@ fn main() {
     bench_channels();
     bench_stripe_plan();
     bench_disk();
+    bench_pattern();
     bench_end_to_end();
     bench_trace_overhead();
 }

@@ -4,15 +4,27 @@
 //! cheap O(1) clones/slices of immutable payloads (so a 1 MB read reply
 //! can fan through the mesh, cache, and prefetch list without copies),
 //! and a mutable staging buffer that freezes into one. The crates.io
-//! `bytes` crate does this with atomics and a vtable; here an
-//! `Arc<[u8]>` plus a range is enough — and keeping it in-repo makes the
-//! build hermetic (tier-1 verify needs no registry access). The backing
-//! pointer is atomic (`Arc`, not `Rc`) so a payload can cross a shard
-//! boundary in the parallel kernel: each sharded world runs on its own
-//! host thread, and a cross-shard mesh frame carries its `Bytes` with
-//! it. Clones are still cheap (one atomic increment) and immutable
-//! content needs no further synchronization. The API is the subset the
-//! workspace uses, name-compatible with the real crate.
+//! `bytes` crate does this with atomics and a vtable; here one
+//! reference-counted vector (`Arc<Vec<u8>>`) plus a range is enough, and
+//! keeping it in-repo makes the build hermetic (tier-1 verify needs no
+//! registry access).
+//!
+//! The vector is what makes [`BytesMut::freeze`] and
+//! `Bytes::from(Vec<u8>)` copy-free: the vector's buffer becomes the
+//! payload as is, and only the small reference-count header is
+//! allocated. (An `Arc<[u8]>` stores its counts in front of the bytes, so
+//! building one from a `Vec` must allocate again and copy every byte.)
+//! Owners that keep shared pages, like the sparse disk store, hold the
+//! same `Arc<Vec<u8>>` and hand out views with [`Bytes::from_shared`], so
+//! every large buffer in the workspace has one allocation shape and a
+//! freed one can be reused for the next.
+//!
+//! The reference counts are atomic (`Arc`, not `Rc`) so a payload can
+//! cross a shard boundary in the parallel kernel: each sharded world
+//! runs on its own host thread, and a cross-shard mesh frame carries its
+//! `Bytes` with it. Clones are still cheap (one atomic increment) and
+//! immutable content needs no further synchronization. The API is the
+//! subset the workspace uses, name-compatible with the real crate.
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
@@ -20,13 +32,13 @@ use std::sync::Arc;
 /// A cheaply clonable, immutable slice of bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer (allocates only the reference-count header).
     pub fn new() -> Bytes {
         Bytes::default()
     }
@@ -55,9 +67,9 @@ impl Bytes {
 
     /// Wrap an existing shared allocation without copying. The whole
     /// buffer is visible; narrow with [`Bytes::slice`]. This is the
-    /// zero-copy bridge for owners that keep data in `Arc<[u8]>` pages
-    /// (the sparse disk store) and want to hand out views of them.
-    pub fn from_shared(data: Arc<[u8]>) -> Bytes {
+    /// zero-copy bridge for owners that keep data in shared pages (the
+    /// sparse disk store) and want to hand out views of them.
+    pub fn from_shared(data: Arc<Vec<u8>>) -> Bytes {
         let end = data.len();
         Bytes {
             data,
@@ -89,10 +101,11 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take over the vector's allocation: no byte is copied.
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -205,7 +218,9 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
-    /// Convert into an immutable [`Bytes`] without copying.
+    /// Convert into an immutable [`Bytes`] that keeps this buffer's
+    /// allocation: no byte is copied, and only the reference-count
+    /// header is allocated.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -255,7 +270,7 @@ mod tests {
 
     #[test]
     fn from_shared_does_not_copy() {
-        let page: Arc<[u8]> = Arc::from(vec![1u8, 2, 3, 4]);
+        let page = Arc::new(vec![1u8, 2, 3, 4]);
         let b = Bytes::from_shared(page.clone());
         // The Bytes holds the same allocation, not a copy.
         assert_eq!(Arc::strong_count(&page), 2);
@@ -285,6 +300,41 @@ mod tests {
         assert_eq!(b, [0u8, 9, 7, 8][..]);
         assert!(Bytes::new().is_empty());
         assert_eq!(Bytes::from_static(b"xy").len(), 2);
+    }
+
+    #[test]
+    fn freeze_keeps_the_allocation() {
+        let m = BytesMut::zeroed(64 * 1024);
+        let at = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.len(), 64 * 1024);
+
+        let mut m = BytesMut::with_capacity(16);
+        m.extend_from_slice(&[1, 2, 3]);
+        m.extend_from_slice(&[4, 5]);
+        let at = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b, vec![1u8, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation_and_views_share_it() {
+        let v = vec![10u8, 11, 12, 13, 14, 15];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        // Clones and slices are views of the same buffer.
+        let c = b.clone();
+        assert_eq!(c.as_ptr(), at);
+        let s = c.slice(2..5);
+        assert_eq!(s.as_ptr(), at.wrapping_add(2));
+        assert_eq!(&s[..], &[12, 13, 14]);
+        assert_eq!(s.slice(1..).as_ptr(), at.wrapping_add(3));
+        drop(b);
+        assert_eq!(c, vec![10u8, 11, 12, 13, 14, 15]);
+        assert_eq!(&s[..], &[12, 13, 14]);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!
 //! A page is one of two kinds:
 //!
-//! * **Resident**: real bytes in a reference-counted page (`Arc<[u8]>`),
-//!   so a read that falls inside a single page hands back a zero-copy view
-//!   instead of allocating and copying a fresh buffer. Writes
+//! * **Resident**: real bytes in a reference-counted page
+//!   (`Arc<Vec<u8>>`), so a read that falls inside a single page hands
+//!   back a zero-copy view instead of allocating and copying a fresh
+//!   buffer. It is the allocation shape of every frozen `Bytes`, so a
+//!   freed read buffer can become a page and the other way round. Writes
 //!   copy-on-write: a page still referenced by an outstanding read view is
 //!   cloned before mutation, so previously returned `Bytes` never change
 //!   underneath their holders.
@@ -98,7 +100,7 @@ impl From<Bytes> for Content {
 /// One page of the store.
 enum Page {
     /// Real bytes, shared with outstanding read views.
-    Resident(Arc<[u8]>),
+    Resident(Arc<Vec<u8>>),
     /// Pattern bytes: byte `j` is slot-file byte `at + j` of `layout`.
     Pattern { layout: PatternLayout, at: u64 },
 }
@@ -108,7 +110,7 @@ enum Page {
 pub struct BlockStore {
     pages: BTreeMap<u64, Page>,
     /// Shared all-zero page backing single-page reads of holes.
-    zero: OnceCell<Arc<[u8]>>,
+    zero: OnceCell<Arc<Vec<u8>>>,
     /// Total bytes ever written (for capacity accounting in tests).
     bytes_written: u64,
 }
@@ -136,9 +138,9 @@ impl BlockStore {
         Self::default()
     }
 
-    fn zero_page(&self) -> Arc<[u8]> {
+    fn zero_page(&self) -> Arc<Vec<u8>> {
         self.zero
-            .get_or_init(|| Arc::from(vec![0u8; STORE_PAGE as usize]))
+            .get_or_init(|| Arc::new(vec![0u8; STORE_PAGE as usize]))
             .clone()
     }
 
@@ -178,16 +180,15 @@ impl BlockStore {
     /// The bytes of page `idx`, private to the store and writable: a hole
     /// becomes a zeroed page, a pattern page is materialized, and a page
     /// still shared with a read view is copied first.
-    // paragon-lint: allow(P1) — `&mut [u8]` is a slice type, not an index
     fn page_mut(&mut self, idx: u64) -> Option<&mut [u8]> {
         let page = self
             .pages
             .entry(idx)
-            .or_insert_with(|| Page::Resident(Arc::from(vec![0u8; STORE_PAGE as usize])));
+            .or_insert_with(|| Page::Resident(Arc::new(vec![0u8; STORE_PAGE as usize])));
         if let Page::Pattern { layout, at } = *page {
             let mut bytes = vec![0u8; STORE_PAGE as usize];
             layout.fill(at, &mut bytes);
-            *page = Page::Resident(Arc::from(bytes));
+            *page = Page::Resident(Arc::new(bytes));
         }
         let Page::Resident(slot) = page else {
             return None;
@@ -195,9 +196,9 @@ impl BlockStore {
         if Arc::get_mut(slot).is_none() {
             // Copy-on-write: an outstanding read view still shares this
             // page; give the store a private copy before mutating.
-            *slot = Arc::from(&slot[..]);
+            *slot = Arc::new(slot.to_vec());
         }
-        Arc::get_mut(slot)
+        Arc::get_mut(slot).map(|page| page.as_mut_slice())
     }
 
     /// Write `data` starting at `offset`.

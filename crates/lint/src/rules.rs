@@ -364,8 +364,14 @@ fn index_findings(code_line: &str) -> Vec<String> {
             p -= 1;
         }
         let prev = if p > 0 { Some(chars[p - 1]) } else { None };
-        let indexable =
-            matches!(prev, Some(c) if c.is_alphanumeric() || c == '_' || c == ')' || c == ']');
+        // A `[` after the keyword `mut` opens a slice type (`&mut [u8]`).
+        let mut w = p;
+        while w > 0 && (chars[w - 1].is_alphanumeric() || chars[w - 1] == '_') {
+            w -= 1;
+        }
+        let after_mut = chars[w..p].iter().copied().eq("mut".chars());
+        let indexable = !after_mut
+            && matches!(prev, Some(c) if c.is_alphanumeric() || c == '_' || c == ')' || c == ']');
         // Find the matching `]` on this line.
         let mut depth = 1;
         let mut j = i + 1;
@@ -723,6 +729,12 @@ mod tests {
         assert!(index_findings("v[0] + v[i + 1] + v[i as usize]").is_empty());
         assert!(index_findings("#[derive(Clone)]").is_empty());
         assert!(index_findings("vec![0u8; 4]").is_empty());
+        // `mut [` is a slice type, not an index; a real index still fires.
+        assert!(index_findings("fn f(out: &mut [u8])").is_empty());
+        assert!(index_findings("fn f(out: &mut[u8])").is_empty());
+        assert_eq!(index_findings("let b = buf[i];"), vec!["i"]);
+        assert_eq!(index_findings("g(&mut v[i])"), vec!["i"]);
+        assert_eq!(index_findings("let x = komut[u8];"), vec!["u8"]);
         assert!(index_findings("let x: [u8; 4] = y;").is_empty());
     }
 
