@@ -3,24 +3,32 @@
 //! One simulation becomes `S` replicated worlds — each a full [`Sim`]
 //! with identical construction — that own disjoint slices of the machine
 //! (compute-node ranks, I/O nodes, the service node). Worlds advance in
-//! *conservative lookahead epochs*: every epoch, each shard publishes its
-//! earliest pending event, a leader computes
-//! `epoch_end = global_min + lookahead`, and each shard then drains
-//! exactly the events with `t < epoch_end`. Cross-shard interactions
-//! (mesh sends whose destination lives elsewhere) leave their world as
-//! [`OutFrame`]s and are injected into the destination world at the
-//! epoch barrier, sorted by `(arrival, src_shard, seq)`.
+//! *conservative lookahead epochs* bounded by one reduction barrier each:
+//! after draining an epoch, every worker folds the earliest instant its
+//! worlds can next act at — their next pending event, and the arrival of
+//! every frame they exported — into a shared minimum `m`, and waits once.
+//! Past the barrier every worker reads the same `m`, injects its worlds'
+//! inbound frames, and drains exactly the events with `t < m + lookahead`.
+//! Cross-shard interactions (mesh sends whose destination lives
+//! elsewhere) leave their world as [`OutFrame`]s and are injected into the
+//! destination world at the start of the next epoch, sorted by
+//! `(arrival, src_shard, seq)`.
 //!
 //! Why this is deterministic and byte-identical across worker counts:
 //!
-//! * The epoch schedule is a pure function of published minima, which are
-//!   themselves pure functions of each world's (deterministic) state —
+//! * The epoch schedule is a pure function of the reduced minima, which
+//!   are themselves pure functions of each world's (deterministic) state —
 //!   no thread observes anything that depends on host scheduling.
+//! * The schedule is the one a publish-after-injection protocol would
+//!   produce: an injector only registers a wake at the frame's arrival
+//!   (see [`ShardCtx::register_fabric`]), so a world's next event after
+//!   injection is exactly the minimum of its own next event and the
+//!   arrivals injected into it.
 //! * A frame produced in epoch `e` has
-//!   `arrival = send_time + propagation ≥ global_min + lookahead =
-//!   epoch_end` (the fabric's minimum cross-shard latency *is* the
-//!   lookahead), so its destination — which only drained `t < epoch_end`
-//!   — has never advanced past it: no arrival is ever stale.
+//!   `arrival = send_time + propagation ≥ m + lookahead = epoch_end`
+//!   (the fabric's minimum cross-shard latency *is* the lookahead), so
+//!   its destination — which only drained `t < epoch_end` — has never
+//!   advanced past it: no arrival is ever stale.
 //! * Frames are injected in a sorted total order and each injection
 //!   spawns tasks through the destination kernel's `(time, seq)` queue,
 //!   so same-instant arrivals tie-break identically every run.
@@ -31,8 +39,8 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::executor::{RunReport, Sim};
 use crate::time::SimTime;
@@ -121,6 +129,13 @@ impl ShardCtx {
     /// Ids are assigned in registration order, and every world constructs
     /// the same model in the same order, so fabric `n` means the same
     /// thing in every shard.
+    ///
+    /// Precondition: `inject` may schedule nothing earlier than the
+    /// frame's `arrival_ns` — in practice it spawns a task whose first
+    /// act is `sleep_until(arrival)`. The epoch reduction counts each
+    /// exported frame at its arrival instant rather than re-reading the
+    /// destination world after injection, and relies on this to publish
+    /// the same minimum; debug builds assert it.
     pub fn register_fabric(&self, inject: impl Fn(OutFrame) + 'static) -> u32 {
         let mut injectors = self.injectors.borrow_mut();
         injectors.push(Box::new(inject));
@@ -214,7 +229,7 @@ pub struct ShardKernelProfile {
     pub epochs: u64,
     /// Virtual events fired by this world's kernel.
     pub events_processed: u64,
-    /// Cross-shard frames this world exported at epoch barriers.
+    /// Cross-shard frames this world exported.
     pub frames_out: u64,
     /// Cross-shard frames injected into this world.
     pub frames_in: u64,
@@ -229,11 +244,12 @@ pub struct ShardKernelProfile {
 pub struct WorkerKernelProfile {
     /// Worker index.
     pub worker: usize,
-    /// Host time parked at epoch barriers — the synchronization cost of
-    /// the conservative-lookahead protocol on this thread.
+    /// Host time spent waiting at the epoch barrier, whether spinning,
+    /// yielding or parked — the synchronization cost of the
+    /// conservative-lookahead protocol on this thread.
     pub barrier_stall_ns: u64,
-    /// Host time not parked: building worlds, draining epochs, moving
-    /// frames.
+    /// Host time not waiting at the barrier: building worlds, draining
+    /// epochs, moving frames.
     pub busy_ns: u64,
     /// Virtual events fired across this worker's owned worlds.
     pub events_processed: u64,
@@ -266,7 +282,7 @@ impl KernelProfile {
         self.per_shard.iter().map(|s| s.events_processed).sum()
     }
 
-    /// Cross-shard frames handed over at epoch barriers.
+    /// Cross-shard frames handed between worlds.
     pub fn cross_shard_frames(&self) -> u64 {
         self.per_shard.iter().map(|s| s.frames_out).sum()
     }
@@ -276,12 +292,12 @@ impl KernelProfile {
         self.per_shard.iter().map(|s| s.calendar_rebuilds).sum()
     }
 
-    /// Host time parked at barriers, summed over workers.
+    /// Host time waiting at barriers, summed over workers.
     pub fn barrier_stall_ns(&self) -> u64 {
         self.per_worker.iter().map(|w| w.barrier_stall_ns).sum()
     }
 
-    /// Fraction of total worker host time spent parked at epoch
+    /// Fraction of total worker host time spent waiting at epoch
     /// barriers. `0.0` for a serial run (no barriers exist).
     pub fn barrier_stall_frac(&self) -> f64 {
         let stall: u64 = self.barrier_stall_ns();
@@ -304,15 +320,138 @@ impl KernelProfile {
     }
 }
 
+/// Rounds an [`EpochBarrier`] waiter busy-waits before it starts
+/// yielding its core.
+const SPIN_ROUNDS: u32 = 64;
+
+/// Rounds (spinning, then yielding) an [`EpochBarrier`] waiter makes
+/// before it parks. An epoch of the I/O-bound full machine takes tens of
+/// microseconds of host time, so the last arriver usually shows up inside
+/// this window and nobody pays for a futex park and wake. Yielding rather
+/// than spinning the tail keeps an oversubscribed host (more workers than
+/// cores) from burning the core the last arriver needs. The whole window
+/// is about 0.4 ms on an idle x86-64 Xeon core.
+const WAIT_ROUNDS: u32 = 1 << 10;
+
+/// A reusable generation-counting barrier that spins, then yields, before
+/// it parks, and that a panicking worker can poison so its peers fail
+/// instead of waiting forever.
+///
+/// The last arriver resets the arrival count and bumps `generation`
+/// under `lock`; a waiter re-checks the generation under the same lock
+/// before every `Condvar` wait, so no wakeup can be lost. The arrival
+/// RMWs are `AcqRel` and the generation bump is a `Release` store read
+/// with `Acquire`, so everything a worker wrote before its wait
+/// happens-before everything any worker does after it.
+struct EpochBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    poisoned: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl EpochBarrier {
+    fn new(parties: usize) -> EpochBarrier {
+        EpochBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `parties` workers have called `wait` for this
+    /// generation. Panics if the barrier is poisoned.
+    fn wait(&self) {
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            self.arrived.store(0, Ordering::Relaxed);
+            let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.generation.store(gen + 1, Ordering::Release);
+            drop(guard);
+            self.wake.notify_all();
+            return;
+        }
+        for round in 0..WAIT_ROUNDS {
+            if self.generation.load(Ordering::Acquire) != gen {
+                return;
+            }
+            self.check_poison();
+            if round < SPIN_ROUNDS {
+                std::hint::spin_loop();
+            } else {
+                // paragon-lint: allow(D2) — only gives the core away while waiting; when the wait ends is host timing that no world can observe
+                std::thread::yield_now();
+            }
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while self.generation.load(Ordering::Acquire) == gen {
+            self.check_poison();
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn check_poison(&self) {
+        if self.poisoned.load(Ordering::Acquire) {
+            panic!("another shard worker panicked");
+        }
+    }
+
+    /// Mark the barrier dead and wake every parked waiter.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        self.wake.notify_all();
+    }
+}
+
+/// Poisons the barrier if its worker unwinds, so the other workers stop
+/// waiting for an arrival that will never come.
+struct PoisonOnUnwind<'a>(&'a EpochBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        // paragon-lint: allow(D2) — reads only whether this worker is unwinding, to poison the barrier; nothing of it reaches a world
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
 /// Shared epoch state. One instance coordinates all worker threads.
+///
+/// Workers fold epoch `e`'s candidates into `minima[e % 3]` before the
+/// barrier that opens it and read the minimum back after; during epoch
+/// `e` worker 0 clears `minima[(e + 2) % 3]`, which every worker finished
+/// reading before that barrier and nobody folds into until after the
+/// next one. Frames exported during epoch `e` go to
+/// `inboxes[(e + 1) % 2]` and are injected at the start of epoch `e + 1`,
+/// so a fast worker's exports never land in the inbox a slow worker is
+/// still taking from. The slots use `Relaxed` accesses because the
+/// barrier orders them: a worker's fold and pushes precede its `AcqRel`
+/// arrival, which precedes every waiter's `Acquire` of the bumped
+/// generation.
 struct EpochCore {
-    barrier: Barrier,
-    /// Per-shard earliest pending event (`u64::MAX` = quiescent).
-    next_event: Vec<AtomicU64>,
-    epoch_end: AtomicU64,
-    done: AtomicBool,
-    /// Per-shard frames awaiting injection at the next barrier.
-    inboxes: Vec<Mutex<Vec<OutFrame>>>,
+    barrier: EpochBarrier,
+    /// Earliest pending instant (`u64::MAX` = quiescent), by epoch mod 3.
+    minima: [AtomicU64; 3],
+    /// Per-shard frames awaiting injection, by epoch parity.
+    inboxes: [Vec<Mutex<Vec<OutFrame>>>; 2],
+}
+
+/// A world's earliest pending event in nanoseconds (`u64::MAX` when
+/// quiescent).
+fn next_event_ns(sim: &Sim) -> u64 {
+    sim.next_event_time()
+        .map(|t| t.as_nanos())
+        .unwrap_or(u64::MAX)
 }
 
 /// Merge per-shard run reports into one machine-level report: clock and
@@ -442,7 +581,7 @@ where
     );
 
     let nshards = plan.shards;
-    // paragon-lint: allow(D2) — worker count only maps worlds to host threads; the epoch schedule below is a pure function of published per-shard minima, so simulation bytes cannot depend on it
+    // paragon-lint: allow(D2) — worker count only maps worlds to host threads; the epoch schedule below is a pure function of the reduced per-world minima, so simulation bytes cannot depend on it
     let workers = match plan.workers {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -453,11 +592,9 @@ where
     .max(1);
 
     let core = EpochCore {
-        barrier: Barrier::new(workers),
-        next_event: (0..nshards).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        epoch_end: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-        inboxes: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
+        barrier: EpochBarrier::new(workers),
+        minima: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
+        inboxes: std::array::from_fn(|_| (0..nshards).map(|_| Mutex::new(Vec::new())).collect()),
     };
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
     let shard_profs: Mutex<Vec<ShardKernelProfile>> = Mutex::new(Vec::new());
@@ -476,6 +613,7 @@ where
             let tick = &tick;
             let lap = &lap;
             scope.spawn(move || {
+                let _poison = PoisonOnUnwind(&core.barrier);
                 let worker_t0 = tick(profile);
                 // Shards round-robin over workers: thread `w` owns every
                 // shard `k` with `k % workers == w`.
@@ -503,67 +641,38 @@ where
                 let mut stall_ns = 0u64;
                 let mut epochs = 0u64;
 
-                loop {
-                    // Publish: earliest pending event per owned world
-                    // (draining ready tasks first, so freshly injected
-                    // arrivals have registered their sleeps).
-                    for (k, sim, _, _) in &worlds {
-                        let t = sim
-                            .next_event_time()
-                            .map(|t| t.as_nanos())
-                            .unwrap_or(u64::MAX);
-                        core.next_event[*k].store(t, Ordering::SeqCst);
-                    }
-                    // The barrier leader turns the minima into one epoch.
-                    let t = tick(profile);
-                    let leader = core.barrier.wait().is_leader();
-                    stall_ns += lap(&t);
-                    if leader {
-                        let min = core
-                            .next_event
-                            .iter()
-                            .map(|t| t.load(Ordering::SeqCst))
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        if min == u64::MAX {
-                            core.done.store(true, Ordering::SeqCst);
-                        } else {
-                            core.epoch_end
-                                .store(min.saturating_add(plan.lookahead_ns), Ordering::SeqCst);
-                        }
-                    }
+                // The first epoch's candidates: each world's earliest
+                // pending event (no frames exist yet).
+                let mut next = worlds
+                    .iter()
+                    .map(|(_, sim, _, _)| next_event_ns(sim))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                for epoch in 0usize.. {
+                    core.minima[epoch % 3].fetch_min(next, Ordering::Relaxed);
                     let t = tick(profile);
                     core.barrier.wait();
                     stall_ns += lap(&t);
-                    if core.done.load(Ordering::SeqCst) {
+                    // Every worker reads the same minimum: the barrier
+                    // fenced every fold into this slot.
+                    let min = core.minima[epoch % 3].load(Ordering::Relaxed);
+                    if min == u64::MAX {
                         break;
                     }
-                    epochs += 1;
-                    // Drain the epoch; hand produced frames to their
-                    // destination shards.
-                    let end = SimTime::from_nanos(core.epoch_end.load(Ordering::SeqCst));
-                    for (i, (_, sim, ctx, _)) in worlds.iter().enumerate() {
-                        let t = tick(profile);
-                        sim.run_until_exclusive(end);
-                        accs[i].2 += lap(&t);
-                        let frames = ctx.take_outbox();
-                        accs[i].0 += frames.len() as u64;
-                        for frame in frames {
-                            let dst = frame.dst_shard as usize;
-                            core.inboxes[dst]
-                                .lock()
-                                .expect("inbox lock poisoned")
-                                .push(frame);
-                        }
+                    if w == 0 {
+                        core.minima[(epoch + 2) % 3].store(u64::MAX, Ordering::Relaxed);
                     }
-                    let t = tick(profile);
-                    core.barrier.wait();
-                    stall_ns += lap(&t);
-                    // Inject arrivals in a sorted total order, then let
-                    // the spawned delivery tasks register their sleeps.
+                    epochs += 1;
+                    let end = SimTime::from_nanos(min.saturating_add(plan.lookahead_ns));
+                    next = u64::MAX;
                     for (i, (k, sim, ctx, _)) in worlds.iter().enumerate() {
+                        // Inject the previous epoch's arrivals in a sorted
+                        // total order, and let the spawned delivery tasks
+                        // register their sleeps.
                         let mut frames = std::mem::take(
-                            &mut *core.inboxes[*k].lock().expect("inbox lock poisoned"),
+                            &mut *core.inboxes[epoch % 2][*k]
+                                .lock()
+                                .expect("inbox lock poisoned"),
                         );
                         frames.sort_by_key(|f| (f.arrival_ns, f.src_shard, f.seq));
                         accs[i].1 += frames.len() as u64;
@@ -571,6 +680,26 @@ where
                             ctx.inject(frame);
                         }
                         sim.flush_ready();
+                        debug_assert!(
+                            next_event_ns(sim) >= min,
+                            "shard {k}: an injection scheduled an event below the epoch minimum"
+                        );
+                        // Drain the epoch; hand produced frames to their
+                        // destination shards, folding their arrivals into
+                        // the next epoch's minimum.
+                        let t = tick(profile);
+                        sim.run_until_exclusive(end);
+                        accs[i].2 += lap(&t);
+                        let frames = ctx.take_outbox();
+                        accs[i].0 += frames.len() as u64;
+                        for frame in frames {
+                            next = next.min(frame.arrival_ns);
+                            core.inboxes[(epoch + 1) % 2][frame.dst_shard as usize]
+                                .lock()
+                                .expect("inbox lock poisoned")
+                                .push(frame);
+                        }
+                        next = next.min(next_event_ns(sim));
                     }
                 }
 
@@ -710,6 +839,154 @@ mod tests {
             },
             |k, sim, log| (k, sim.report(), log.borrow().clone()),
         )
+    }
+
+    /// One world's all-to-all log: `(receive time, source shard, round)`.
+    type GossipLog = Vec<(u64, u32, u64)>;
+
+    /// A toy fabric: every shard broadcasts round `r` to every other
+    /// shard, all landing at the same instant; a shard that has heard
+    /// round `r` from all `S − 1` peers broadcasts round `r + 1`, until
+    /// `rounds`. Each epoch thus hands every world `S − 1` equal-arrival
+    /// frames, so any drift in the sorted injection order or the inbox
+    /// handoff shows up in the logs.
+    fn gossip_run(
+        shards: usize,
+        workers: usize,
+        rounds: u64,
+    ) -> Vec<(usize, RunReport, GossipLog)> {
+        let plan = ShardPlan {
+            shards,
+            workers,
+            lookahead_ns: LOOKAHEAD,
+            owner: Arc::new((0..shards as u32).collect()),
+            seed: 9,
+        };
+        let broadcast = |sim: &Sim, ctx: &ShardCtx, round: u64| {
+            let at = sim.now() + SimDuration::from_nanos(LOOKAHEAD);
+            for dst in (0..ctx.nshards()).filter(|&d| d != ctx.shard()) {
+                ctx.export(at, dst, 0, Box::new(round));
+            }
+        };
+        run_sharded(
+            &plan,
+            |_, sim| {
+                let log: Rc<RefCell<GossipLog>> = Rc::new(RefCell::new(Vec::new()));
+                let ctx = sim.shard_ctx().expect("sharded world");
+                let heard: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+                {
+                    let sim = sim.clone();
+                    let ctx2 = ctx.clone();
+                    let log = log.clone();
+                    ctx.register_fabric(move |frame: OutFrame| {
+                        let round = *frame
+                            .payload
+                            .downcast::<u64>()
+                            .expect("gossip payload is u64");
+                        let at = SimTime::from_nanos(frame.arrival_ns);
+                        let (s, ctx, log, heard) =
+                            (sim.clone(), ctx2.clone(), log.clone(), heard.clone());
+                        sim.spawn_named("gossip-deliver", async move {
+                            s.sleep_until(at).await;
+                            log.borrow_mut()
+                                .push((s.now().as_nanos(), frame.src_shard, round));
+                            let mut heard = heard.borrow_mut();
+                            if heard.len() <= round as usize {
+                                heard.resize(round as usize + 1, 0);
+                            }
+                            heard[round as usize] += 1;
+                            if heard[round as usize] + 1 == ctx.nshards() && round < rounds {
+                                broadcast(&s, &ctx, round + 1);
+                            }
+                        });
+                    });
+                }
+                let s = sim.clone();
+                sim.spawn_named("gossip-kick", async move {
+                    s.sleep(SimDuration::from_micros(5)).await;
+                    broadcast(&s, &ctx, 0);
+                });
+                log
+            },
+            |k, sim, log| (k, sim.report(), log.borrow().clone()),
+        )
+    }
+
+    #[test]
+    fn all_to_all_exchange_is_worker_invariant() {
+        for shards in [2, 3, 4, 8] {
+            let reference = gossip_run(shards, 1, 6);
+            for (k, _, log) in &reference {
+                // Seven rounds, each heard from every peer at one instant.
+                assert_eq!(log.len(), 7 * (shards - 1), "shard {k} of {shards}");
+                for (i, &(t, _, round)) in log.iter().enumerate() {
+                    assert_eq!(round, (i / (shards - 1)) as u64);
+                    assert_eq!(t, 5_000 + (round + 1) * LOOKAHEAD);
+                }
+            }
+            for workers in [2, 3, 8] {
+                assert_eq!(
+                    gossip_run(shards, workers, 6),
+                    reference,
+                    "{shards} shards on {workers} workers"
+                );
+            }
+        }
+    }
+
+    /// Run `f` on a helper thread and return its panic message (`None`
+    /// if it returned), failing the test instead of hanging if it has
+    /// not finished within a minute.
+    fn outcome_on_helper(f: impl FnOnce() + Send + 'static) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let msg = out.err().map(|e| match e.downcast::<&str>() {
+                Ok(s) => s.to_string(),
+                Err(e) => e.downcast::<String>().map_or(String::new(), |s| *s),
+            });
+            let _ = tx.send(msg);
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("hung instead of finishing or panicking");
+        helper.join().expect("the helper catches every panic");
+        msg
+    }
+
+    #[test]
+    fn a_panicking_shard_worker_fails_the_run_instead_of_hanging() {
+        let plan = ShardPlan {
+            shards: 2,
+            workers: 2,
+            lookahead_ns: LOOKAHEAD,
+            owner: Arc::new(vec![0, 1]),
+            seed: 1,
+        };
+        let msg = outcome_on_helper(move || {
+            run_sharded(
+                &plan,
+                |k, _| assert_ne!(k, 1, "building shard 1 failed"),
+                |_, sim, ()| sim.report(),
+            );
+        });
+        assert!(msg.is_some(), "a worker panicked but the run returned");
+    }
+
+    #[test]
+    fn a_poisoned_barrier_panics_its_waiters() {
+        let barrier = Arc::new(EpochBarrier::new(2));
+        let waiter = barrier.clone();
+        let poisoner = std::thread::spawn(move || {
+            // Poison only once the waiter is inside `wait`.
+            while barrier.arrived.load(Ordering::Acquire) == 0 {
+                std::hint::spin_loop();
+            }
+            barrier.poison();
+        });
+        let msg = outcome_on_helper(move || waiter.wait());
+        poisoner.join().expect("the poisoner does not panic");
+        assert_eq!(msg.as_deref(), Some("another shard worker panicked"));
     }
 
     #[test]

@@ -100,6 +100,14 @@ cargo test -q --release --test profile_goldens
 cargo test -q --release -p paragon-bench --test summarize_goldens
 cargo test -q -p paragon-profile
 
+echo "=== perfbench"
+# The repo benchmark's self-test (perfbench/run.py): builds the
+# measurement binary into the git-ignored .bench_build (or
+# $CARGO_TARGET_DIR), runs each workload at a tiny size, including
+# the scale workload on two forced shard worlds, and checks that a
+# planted wrong byte is caught. Hermetic; about ten seconds once built.
+python3 perfbench/run.py --self-test
+
 echo "=== cargo fmt --check"
 cargo fmt --check
 

@@ -13,7 +13,7 @@ use common::{cfg, ext_matrix};
 use paragon::machine::Calibration;
 use paragon::pfs::{IoMode, Redundancy};
 use paragon::sim::SimDuration;
-use paragon::workload::{run, ExperimentConfig, RunResult, StripeLayout};
+use paragon::workload::{run, run_profiled, ExperimentConfig, RunResult, StripeLayout};
 
 /// Force `c` onto four shard worlds with the recorder armed, driven by
 /// `workers` host threads.
@@ -96,6 +96,44 @@ fn instrumented_run_is_worker_invariant() {
         m.hists.contains_key("read.time_s"),
         "merged snapshot lost the access-time histogram"
     );
+}
+
+/// Epoch count and trace hash of the forced-4-shard 128×16 shape below,
+/// captured under the three-wait publish/compute/exchange protocol. The
+/// epoch schedule is a pure function of the worlds' state, so the count
+/// is as frozen as the bytes: it pins that the one-barrier reduction
+/// publishes the same minima as the protocol it replaced.
+const GOLDEN_128X16: (u64, u64) = (901, 0xae46fd830e26931b);
+
+#[test]
+fn repeated_runs_hand_off_frames_identically() {
+    // Many cross-shard frames per epoch on more workers than most hosts
+    // have cores: eight runs must agree on every byte and every epoch.
+    let mut c = cfg(23, IoMode::MRecord);
+    c.compute_nodes = 128;
+    c.io_nodes = 16;
+    c.layout = StripeLayout::Across { factor: 16 };
+    c.file_size = 16 << 20;
+    c.delay = SimDuration::ZERO;
+    let c = sharded(c, 4);
+    let (first, prof) = run_profiled(&c);
+    assert_eq!(prof.shards, 4);
+    let (epochs, hash) = GOLDEN_128X16;
+    assert_eq!(prof.epochs(), epochs, "epoch schedule moved");
+    assert_eq!(
+        first.trace_hash, hash,
+        "trace hash diverged (got {:#018x})",
+        first.trace_hash
+    );
+    assert!(prof.cross_shard_frames() > 0, "the cut carried no traffic");
+    for _ in 1..8 {
+        let again = run(&c);
+        assert_eq!(
+            again.trace_hash, first.trace_hash,
+            "a repeat at 4 workers changed the trace hash"
+        );
+        assert_eq!(again.elapsed, first.elapsed);
+    }
 }
 
 /// Frozen trace hash and simulated time of the 1024×128 full-machine
