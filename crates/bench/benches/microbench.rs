@@ -91,9 +91,11 @@ fn bench_disk() {
     });
 }
 
-/// The pattern data plane: synthesizing, checking and serving one 64 KB
-/// page of pattern content.
+/// The data plane: synthesizing, checking and serving one 64 KB page of
+/// pattern content, storing a page of real bytes, and materializing a
+/// populated file.
 fn bench_pattern() {
+    use bytes::Bytes;
     use paragon_disk::{pattern_fill, pattern_matches, BlockStore, Content, PatternLayout};
     const PAGE: usize = 64 * 1024;
     let mut buf = vec![0u8; PAGE];
@@ -116,9 +118,47 @@ fn bench_pattern() {
         at: 0,
         len: 4 * PAGE,
     };
-    store.write_content(0, &content);
+    store.write(0, &content);
     bench("pattern/store_read_page_64KB", 2_000, || {
         store.read(black_box(PAGE as u64), PAGE)
+    });
+    // A whole-page write adopts the writer's buffer.
+    let page = Content::from(Bytes::from(buf.clone()));
+    bench("store/write_bytes_page_64KB", 2_000, || {
+        store.write(black_box(5 * PAGE as u64), &page)
+    });
+    bench_populate_with();
+}
+
+/// `populate_with` of a 16 MB file over 8 I/O nodes in 64 KB units, on a
+/// fresh machine each time: the fill, the slot buffers and the setup's
+/// device writes.
+fn bench_populate_with() {
+    use paragon_machine::{Calibration, Machine, MachineConfig};
+    use paragon_pfs::{pattern_byte, ParallelFs};
+    use std::rc::Rc;
+    bench("pfs/populate_with_16MB", 10, || {
+        let sim = Sim::new(1);
+        let machine = Rc::new(Machine::new(
+            &sim,
+            MachineConfig {
+                compute_nodes: 1,
+                io_nodes: 8,
+                calib: Calibration::instant(),
+            },
+        ));
+        let pfs = ParallelFs::new(machine);
+        let h = sim.spawn(async move {
+            let id = pfs
+                .create("/pfs/populate", StripeAttrs::across(8, 64 * 1024))
+                .await
+                .unwrap();
+            pfs.populate_with(id, 16 << 20, |i| pattern_byte(7, i))
+                .await
+                .unwrap();
+        });
+        sim.run();
+        h.try_take()
     });
 }
 

@@ -14,10 +14,12 @@
 //! payload as is, and only the small reference-count header is
 //! allocated. (An `Arc<[u8]>` stores its counts in front of the bytes, so
 //! building one from a `Vec` must allocate again and copy every byte.)
-//! Owners that keep shared pages, like the sparse disk store, hold the
-//! same `Arc<Vec<u8>>` and hand out views with [`Bytes::from_shared`], so
-//! every large buffer in the workspace has one allocation shape and a
-//! freed one can be reused for the next.
+//! Owners that keep pages, like the sparse disk store, keep them as
+//! `Bytes` too: a whole-page write is stored as a view of the writer's
+//! buffer, and a page is written in place through [`Bytes::get_mut`]
+//! only while no other view shares its allocation. So every large buffer
+//! in the workspace has one allocation shape, and a freed one can be
+//! reused for the next.
 //!
 //! The reference counts are atomic (`Arc`, not `Rc`) so a payload can
 //! cross a shard boundary in the parallel kernel: each sharded world
@@ -65,17 +67,13 @@ impl Bytes {
         self.start == self.end
     }
 
-    /// Wrap an existing shared allocation without copying. The whole
-    /// buffer is visible; narrow with [`Bytes::slice`]. This is the
-    /// zero-copy bridge for owners that keep data in shared pages (the
-    /// sparse disk store) and want to hand out views of them.
-    pub fn from_shared(data: Arc<Vec<u8>>) -> Bytes {
-        let end = data.len();
-        Bytes {
-            data,
-            start: 0,
-            end,
-        }
+    /// Writable access to this view's bytes, or `None` while any other
+    /// view (a clone, a slice, or a view of another range) shares the
+    /// allocation. Only this view's range is writable, so the bytes it
+    /// hands out are exactly the ones [`Deref`] reads.
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        let (start, end) = (self.start, self.end);
+        Arc::get_mut(&mut self.data).map(|v| &mut v[start..end])
     }
 
     /// O(1) sub-slice sharing the same allocation. Panics if the range
@@ -269,16 +267,23 @@ mod tests {
     }
 
     #[test]
-    fn from_shared_does_not_copy() {
-        let page = Arc::new(vec![1u8, 2, 3, 4]);
-        let b = Bytes::from_shared(page.clone());
-        // The Bytes holds the same allocation, not a copy.
-        assert_eq!(Arc::strong_count(&page), 2);
-        let s = b.slice(1..3);
-        assert_eq!(Arc::strong_count(&page), 3);
-        assert_eq!(&s[..], &[2, 3]);
-        drop((b, s));
-        assert_eq!(Arc::strong_count(&page), 1);
+    fn get_mut_only_on_a_unique_view_and_only_its_range() {
+        let mut b = Bytes::from(vec![1u8, 2, 3, 4, 5]).slice(1..4);
+        let at = b.as_ptr();
+        let view = b.get_mut().expect("the only view");
+        assert_eq!((view.as_ptr(), &view[..]), (at, &[2u8, 3, 4][..]));
+        view[0] = 9;
+        assert_eq!(b, vec![9u8, 3, 4]);
+        // A clone or a slice shares the allocation: no writable access
+        // until it is gone.
+        let c = b.clone();
+        assert!(b.get_mut().is_none());
+        drop(c);
+        let s = b.slice(2..);
+        assert!(b.get_mut().is_none());
+        assert_eq!(s, vec![4u8]);
+        drop(s);
+        assert!(b.get_mut().is_some());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use paragon_sim::sync::{channel, oneshot, OneshotSender, Receiver, Sender};
 use paragon_sim::{ev, DiskFault, EventKind, FaultPlan, ReqId, Rng, Sim, SimDuration, Track};
 
 use crate::params::{DiskParams, SchedPolicy};
-use crate::store::BlockStore;
+use crate::store::{BlockStore, Content};
 
 /// Why a disk request failed. Injected by the simulation's
 /// [`FaultPlan`]; never produced on a healthy run.
@@ -399,7 +399,7 @@ async fn server_loop(
             }
             DiskOp::Write { offset, data } => {
                 stats.borrow_mut().bytes_written += data.len() as u64;
-                store.write(offset, &data);
+                store.write(offset, &Content::from(data));
                 req.reply.send(Ok(Bytes::new()));
             }
             DiskOp::ReadTiming { len, .. } => {

@@ -378,7 +378,7 @@ impl RaidArray {
             return match first_err {
                 Some(e) => Err(e),
                 None => {
-                    self.logical.borrow_mut().write_content(offset, &data);
+                    self.logical.borrow_mut().write(offset, &data);
                     Ok(())
                 }
             };
@@ -393,7 +393,7 @@ impl RaidArray {
             self.write_run_with_parity(&parity, member, start, rlen as u32, req)
                 .await?;
         }
-        self.logical.borrow_mut().write_content(offset, &data);
+        self.logical.borrow_mut().write(offset, &data);
         Ok(())
     }
 

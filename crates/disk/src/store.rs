@@ -6,14 +6,17 @@
 //!
 //! A page is one of two kinds:
 //!
-//! * **Resident**: real bytes in a reference-counted page
-//!   (`Arc<Vec<u8>>`), so a read that falls inside a single page hands
-//!   back a zero-copy view instead of allocating and copying a fresh
-//!   buffer. It is the allocation shape of every frozen `Bytes`, so a
-//!   freed read buffer can become a page and the other way round. Writes
-//!   copy-on-write: a page still referenced by an outstanding read view is
-//!   cloned before mutation, so previously returned `Bytes` never change
-//!   underneath their holders.
+//! * **Resident**: real bytes, held as a [`Bytes`] view, so a read that
+//!   falls inside a single page hands back a zero-copy view instead of
+//!   allocating and copying a fresh buffer. A write that covers a whole
+//!   page stores a view of the writer's own buffer: no byte is copied, and
+//!   the bytes are materialized once, by whoever produced them. A partial
+//!   write copies its piece into the page, copy-on-write: a page whose
+//!   allocation is shared (with a read view, with the writer, or with the
+//!   neighbouring pages of one adopted buffer) is replaced by a private
+//!   copy first, so no `Bytes` ever changes underneath its holder. An
+//!   adopted page keeps its whole source allocation alive until every
+//!   page sharing that allocation has been overwritten.
 //! * **Pattern**: a descriptor of test-pattern content, a
 //!   [`PatternLayout`] plus the slot-file offset of the page's first byte.
 //!   Writing a [`Content::Pattern`] that covers a whole page records only
@@ -27,7 +30,6 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 
@@ -99,8 +101,9 @@ impl From<Bytes> for Content {
 
 /// One page of the store.
 enum Page {
-    /// Real bytes, shared with outstanding read views.
-    Resident(Arc<Vec<u8>>),
+    /// Real bytes, `STORE_PAGE` long, possibly shared with read views and
+    /// with the writer's buffer.
+    Resident(Bytes),
     /// Pattern bytes: byte `j` is slot-file byte `at + j` of `layout`.
     Pattern { layout: PatternLayout, at: u64 },
 }
@@ -110,7 +113,7 @@ enum Page {
 pub struct BlockStore {
     pages: BTreeMap<u64, Page>,
     /// Shared all-zero page backing single-page reads of holes.
-    zero: OnceCell<Arc<Vec<u8>>>,
+    zero: OnceCell<Bytes>,
     /// Total bytes ever written (for capacity accounting in tests).
     bytes_written: u64,
 }
@@ -138,9 +141,9 @@ impl BlockStore {
         Self::default()
     }
 
-    fn zero_page(&self) -> Arc<Vec<u8>> {
+    fn zero_page(&self) -> Bytes {
         self.zero
-            .get_or_init(|| Arc::new(vec![0u8; STORE_PAGE as usize]))
+            .get_or_init(|| Bytes::from(vec![0u8; STORE_PAGE as usize]))
             .clone()
     }
 
@@ -161,7 +164,7 @@ impl BlockStore {
                 }
                 None => self.zero_page(),
             };
-            return Bytes::from_shared(page).slice(in_page..in_page + len);
+            return page.slice(in_page..in_page + len);
         }
         let mut out = BytesMut::zeroed(len);
         for (idx, in_page, pos, chunk) in pieces(offset, len) {
@@ -179,54 +182,60 @@ impl BlockStore {
 
     /// The bytes of page `idx`, private to the store and writable: a hole
     /// becomes a zeroed page, a pattern page is materialized, and a page
-    /// still shared with a read view is copied first.
+    /// whose allocation is shared is copied first.
     fn page_mut(&mut self, idx: u64) -> Option<&mut [u8]> {
         let page = self
             .pages
             .entry(idx)
-            .or_insert_with(|| Page::Resident(Arc::new(vec![0u8; STORE_PAGE as usize])));
+            .or_insert_with(|| Page::Resident(Bytes::from(vec![0u8; STORE_PAGE as usize])));
         if let Page::Pattern { layout, at } = *page {
             let mut bytes = vec![0u8; STORE_PAGE as usize];
             layout.fill(at, &mut bytes);
-            *page = Page::Resident(Arc::new(bytes));
+            *page = Page::Resident(Bytes::from(bytes));
         }
         let Page::Resident(slot) = page else {
             return None;
         };
-        if Arc::get_mut(slot).is_none() {
-            // Copy-on-write: an outstanding read view still shares this
-            // page; give the store a private copy before mutating.
-            *slot = Arc::new(slot.to_vec());
+        if slot.get_mut().is_none() {
+            // Copy-on-write: a read view, the writer or a neighbouring
+            // adopted page still shares this allocation; give the store a
+            // private copy before mutating.
+            *slot = Bytes::copy_from_slice(slot);
         }
-        Arc::get_mut(slot).map(|page| page.as_mut_slice())
+        slot.get_mut()
     }
 
     /// Write `data` starting at `offset`.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
+    ///
+    /// Each page the write covers whole is adopted without a copy: real
+    /// bytes become a view of the writer's buffer, and pattern content a
+    /// pattern page. The partial pages at either end are copied in.
+    pub fn write(&mut self, offset: u64, data: &Content) {
         for (idx, in_page, pos, chunk) in pieces(offset, data.len()) {
-            if let Some(page) = self.page_mut(idx) {
-                page[in_page..in_page + chunk].copy_from_slice(&data[pos..pos + chunk]);
+            let piece = data.slice(pos..pos + chunk);
+            if chunk == STORE_PAGE as usize {
+                let page = match piece {
+                    Content::Bytes(b) => Page::Resident(b),
+                    Content::Pattern { layout, at, .. } => Page::Pattern { layout, at },
+                };
+                self.pages.insert(idx, page);
+            } else {
+                self.write_partial(idx, in_page, &piece);
             }
         }
         self.bytes_written += data.len() as u64;
     }
 
-    /// Write `data` starting at `offset`. Pattern content keeps every page
-    /// it covers whole as a pattern page and materializes the rest.
-    pub fn write_content(&mut self, offset: u64, data: &Content) {
-        let (layout, at, len) = match *data {
-            Content::Bytes(ref b) => return self.write(offset, b),
-            Content::Pattern { layout, at, len } => (layout, at, len),
+    /// Copy `piece` into page `idx` from byte `in_page` on.
+    fn write_partial(&mut self, idx: u64, in_page: usize, piece: &Content) {
+        let Some(page) = self.page_mut(idx) else {
+            return;
         };
-        for (idx, in_page, pos, chunk) in pieces(offset, len) {
-            let at = at + pos as u64;
-            if chunk == STORE_PAGE as usize {
-                self.pages.insert(idx, Page::Pattern { layout, at });
-            } else if let Some(page) = self.page_mut(idx) {
-                layout.fill(at, &mut page[in_page..in_page + chunk]);
-            }
+        let dst = &mut page[in_page..in_page + piece.len()];
+        match piece {
+            Content::Bytes(b) => dst.copy_from_slice(b),
+            Content::Pattern { layout, at, .. } => layout.fill(*at, dst),
         }
-        self.bytes_written += len as u64;
     }
 
     /// Number of resident (materialized) pages.
@@ -252,6 +261,11 @@ impl BlockStore {
 mod tests {
     use super::*;
 
+    /// Real-byte content holding a copy of `v`.
+    fn real(v: &[u8]) -> Content {
+        Content::from(Bytes::copy_from_slice(v))
+    }
+
     #[test]
     fn holes_read_as_zeros() {
         let store = BlockStore::new();
@@ -268,7 +282,7 @@ mod tests {
         let mut store = BlockStore::new();
         let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
         // Deliberately straddle several pages at an odd offset.
-        store.write(STORE_PAGE * 3 + 17, &payload);
+        store.write(STORE_PAGE * 3 + 17, &real(&payload));
         let back = store.read(STORE_PAGE * 3 + 17, payload.len());
         assert_eq!(&back[..], &payload[..]);
         // Just before and after are still zero.
@@ -282,8 +296,8 @@ mod tests {
     #[test]
     fn overlapping_writes_last_wins() {
         let mut store = BlockStore::new();
-        store.write(100, &[1u8; 200]);
-        store.write(150, &[2u8; 50]);
+        store.write(100, &real(&[1u8; 200]));
+        store.write(150, &real(&[2u8; 50]));
         let back = store.read(100, 200);
         assert!(back[..50].iter().all(|&b| b == 1));
         assert!(back[50..100].iter().all(|&b| b == 2));
@@ -293,8 +307,8 @@ mod tests {
     #[test]
     fn sparse_footprint_stays_small() {
         let mut store = BlockStore::new();
-        store.write(0, &[7u8; 1]);
-        store.write(STORE_PAGE * 1000, &[7u8; 1]);
+        store.write(0, &real(&[7u8; 1]));
+        store.write(STORE_PAGE * 1000, &real(&[7u8; 1]));
         assert_eq!(store.resident_pages(), 2);
         assert_eq!(store.bytes_written(), 2);
     }
@@ -302,25 +316,25 @@ mod tests {
     #[test]
     fn single_page_read_shares_the_page() {
         let mut store = BlockStore::new();
-        store.write(0, &[9u8; 1024]);
+        store.write(0, &real(&[9u8; 1024]));
         let a = store.read(0, 512);
         let b = store.read(256, 512);
         assert!(a.iter().all(|&x| x == 9));
         assert_eq!(&b[..256], &[9u8; 256][..]);
-        // Both reads share the resident page rather than copying it:
-        // strong count = store + a + b.
+        // Both reads are views of the resident page, not copies of it.
         let Some(Page::Resident(page)) = store.pages.get(&0) else {
             panic!("page 0 is not resident");
         };
-        assert_eq!(Arc::strong_count(page), 3);
+        assert_eq!(a.as_ptr(), page.as_ptr());
+        assert_eq!(b.as_ptr(), page.as_ptr().wrapping_add(256));
     }
 
     #[test]
     fn write_after_read_does_not_mutate_outstanding_views() {
         let mut store = BlockStore::new();
-        store.write(0, &[1u8; 100]);
+        store.write(0, &real(&[1u8; 100]));
         let view = store.read(0, 100);
-        store.write(0, &[2u8; 100]);
+        store.write(0, &real(&[2u8; 100]));
         // The earlier view still sees the old bytes (copy-on-write)…
         assert!(view.iter().all(|&b| b == 1));
         // …while a fresh read sees the new ones.
@@ -334,8 +348,58 @@ mod tests {
         let b = store.read(STORE_PAGE * 5 + 3, 64);
         assert!(a.iter().chain(b.iter()).all(|&x| x == 0));
         // Both are views of the same lazily created zero page.
-        assert_eq!(Arc::strong_count(store.zero.get().unwrap()), 3);
+        let zero = store.zero.get().unwrap().as_ptr();
+        assert_eq!(a.as_ptr(), zero);
+        assert_eq!(b.as_ptr(), zero.wrapping_add(3));
         assert_eq!(store.resident_pages(), 0);
+    }
+
+    /// Two pages of distinct real bytes.
+    fn two_pages() -> Bytes {
+        (0..2 * STORE_PAGE as usize)
+            .map(|i| (i % 253) as u8)
+            .collect::<Vec<u8>>()
+            .into()
+    }
+
+    #[test]
+    fn whole_page_writes_keep_the_writers_buffer() {
+        let mut store = BlockStore::new();
+        let data = two_pages();
+        store.write(0, &Content::from(data.clone()));
+        assert_eq!(store.resident_pages(), 2);
+        // Each page is a view of the writer's bytes, not a copy of them.
+        let page = STORE_PAGE as usize;
+        assert_eq!(store.read(0, page).as_ptr(), data.as_ptr());
+        assert_eq!(
+            store.read(STORE_PAGE, page).as_ptr(),
+            data.as_ptr().wrapping_add(page)
+        );
+        assert_eq!(store.read(0, 2 * page), data);
+    }
+
+    #[test]
+    fn partial_write_into_an_adopted_page_copies_it_first() {
+        let data = two_pages();
+        let before = data.to_vec();
+        // Two stores adopt one buffer, as every replica of a populated
+        // slot does.
+        let (mut store, mut replica) = (BlockStore::new(), BlockStore::new());
+        store.write(0, &Content::from(data.clone()));
+        replica.write(0, &Content::from(data.clone()));
+        let view = store.read(STORE_PAGE + 10, 100);
+        store.write(STORE_PAGE + 7, &real(&[0xee; 300]));
+        let mut expect = before.clone();
+        expect[STORE_PAGE as usize + 7..STORE_PAGE as usize + 307].fill(0xee);
+        assert_eq!(store.read(0, expect.len()), expect);
+        // The writer's buffer, the earlier view and the other store still
+        // see the old bytes.
+        assert_eq!(data, before);
+        assert_eq!(view, &before[STORE_PAGE as usize + 10..][..100]);
+        assert_eq!(replica.read(0, before.len()), before);
+        // Only the written page became private; its neighbour is still
+        // the writer's.
+        assert_eq!(store.read(0, 64).as_ptr(), data.as_ptr());
     }
 
     const LAYOUT: PatternLayout = PatternLayout {
@@ -370,7 +434,7 @@ mod tests {
         let mut store = BlockStore::new();
         let len = 3 * STORE_PAGE as usize;
         let content = pattern(STORE_PAGE, len);
-        store.write_content(STORE_PAGE, &content);
+        store.write(STORE_PAGE, &content);
         assert_eq!((store.resident_pages(), store.pattern_pages()), (0, 3));
         assert_eq!(store.bytes_written(), len as u64);
         let expect = bytes_of(&content);
@@ -391,9 +455,9 @@ mod tests {
     #[test]
     fn partial_pattern_pages_are_materialized() {
         let mut store = BlockStore::new();
-        store.write(0, &[5u8; 200]);
+        store.write(0, &real(&[5u8; 200]));
         let content = pattern(40, STORE_PAGE as usize + 1000);
-        store.write_content(100, &content);
+        store.write(100, &content);
         // Page 0 is covered from byte 100 on, page 1 only in part.
         assert_eq!((store.resident_pages(), store.pattern_pages()), (2, 0));
         let back = store.read(0, STORE_PAGE as usize * 2);
@@ -406,9 +470,9 @@ mod tests {
     fn byte_write_into_a_pattern_page_materializes_it() {
         let mut store = BlockStore::new();
         let content = pattern(0, 2 * STORE_PAGE as usize);
-        store.write_content(0, &content);
+        store.write(0, &content);
         let view = store.read(STORE_PAGE, 64);
-        store.write(STORE_PAGE + 1_000, &[0xee; 100]);
+        store.write(STORE_PAGE + 1_000, &real(&[0xee; 100]));
         assert_eq!((store.resident_pages(), store.pattern_pages()), (1, 1));
         let mut expect = bytes_of(&content).to_vec();
         expect[STORE_PAGE as usize + 1_000..STORE_PAGE as usize + 1_100].fill(0xee);
@@ -420,7 +484,7 @@ mod tests {
         );
         // Pattern content written back over a resident page makes it
         // virtual again.
-        store.write_content(0, &content);
+        store.write(0, &content);
         assert_eq!((store.resident_pages(), store.pattern_pages()), (0, 2));
     }
 

@@ -21,6 +21,13 @@ const SEED: u64 = 29;
 enum Fill {
     Pattern,
     Materialized,
+    /// `populate_with` with [`scrambled`], a fill that is not the pattern.
+    Scrambled,
+}
+
+/// Byte `i` of a [`Fill::Scrambled`] file.
+fn scrambled(i: u64) -> u8 {
+    (i.wrapping_mul(131) >> 3) as u8
 }
 
 /// A 2-CN machine with `ions` I/O nodes under `redundancy` (parity turns
@@ -46,6 +53,7 @@ async fn populate(pfs: &ParallelFs, file: PfsFileId, size: u64, fill: Fill) {
             .populate_with(file, size, |i| pattern_byte(SEED, i))
             .await
             .unwrap(),
+        Fill::Scrambled => pfs.populate_with(file, size, scrambled).await.unwrap(),
     }
 }
 
@@ -91,6 +99,11 @@ fn populate_and_read(
             for copy in meta.slot_replicas(slot).unwrap() {
                 let ufs = p2.machine().ufs(copy.ion);
                 let len = ufs.size(copy.inode).unwrap();
+                // A file smaller than one stripe row leaves slots empty.
+                if len == 0 {
+                    copies.push(Vec::new());
+                    continue;
+                }
                 copies.push(
                     ufs.read_direct(copy.inode, 0, len as u32)
                         .await
@@ -128,6 +141,33 @@ fn populate_pattern_is_populate_with_pattern_byte() {
             assert!(copies_p == copies_m, "slot-file bytes differ: {what}");
             let rf = redundancy.replication_factor();
             assert_eq!(copies_p.len(), 3 * rf, "{what}");
+        }
+    }
+}
+
+/// `populate_with` fills in fixed-size blocks: every byte must still be
+/// `fill(i)`, whatever the fill, at sizes that end mid-block, mid-unit and
+/// inside the first block, on every copy of every slot.
+#[test]
+fn populate_with_is_byte_exact_for_any_fill() {
+    for su in [16 * KB, 64 * KB] {
+        for size in [7, 3 * su + 1, 10 * su + 12_345] {
+            for redundancy in [Redundancy::None, Redundancy::Replicated { rf: 2 }] {
+                let what = format!("su {su}, size {size}, {redundancy:?}");
+                let (_, file, copies) = populate_and_read(su, size, redundancy, Fill::Scrambled);
+                assert_eq!(file.len() as u64, size, "{what}");
+                let wrong = (0..size).find(|&i| file[i as usize] != scrambled(i));
+                assert_eq!(wrong, None, "first wrong byte: {what}");
+                // Every copy of a slot holds the primary's bytes.
+                let rf = redundancy.replication_factor();
+                assert_eq!(copies.len(), 3 * rf, "{what}");
+                for slot in copies.chunks(rf) {
+                    assert!(
+                        slot.iter().all(|c| *c == slot[0]),
+                        "replicas differ: {what}"
+                    );
+                }
+            }
         }
     }
 }
